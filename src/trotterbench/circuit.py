@@ -9,9 +9,11 @@ operator product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from . import kernels
 
 KIND_RX = 0
 KIND_RZ = 1
@@ -178,53 +180,17 @@ def gate_counts(circuit: Circuit) -> dict:
     return {"total": total, "per_step": per_step, "n_gates": len(circuit.gates)}
 
 
-def _gate_matrix(gate: Gate) -> np.ndarray:
-    if gate.kind == KIND_RX:
-        c = math.cos(gate.theta / 2)
-        s = math.sin(gate.theta / 2)
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
-    if gate.kind == KIND_RZ:
-        return np.array(
-            [[np.exp(-0.5j * gate.theta), 0], [0, np.exp(0.5j * gate.theta)]],
-            dtype=np.complex128,
-        )
-    raise ValueError("no 2x2 matrix for CNOT")
-
-
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the whole circuit (earlier gates act first).
 
-    Verification path only: builds the 2^n x 2^n matrix by applying each
-    gate to the columns of the identity.
+    Verification path only: runs the circuit on all 2^n basis states at once
+    as a batch, so row k ends as U|k>; the result is the transpose of that
+    batch (a view).
     """
     n = circuit.n_qubits
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense unitary limited to {MAX_DENSE_QUBITS} qubits")
-    dim = 1 << n
-    u = np.eye(dim, dtype=np.complex128)
-    for g in circuit.gates:
-        _apply_to_matrix(u, g, n)
-    return u
-
-
-def _apply_to_matrix(u: np.ndarray, gate: Gate, n_qubits: int) -> None:
-    # Rows of `u` are basis indices; updating row pairs applies the gate to
-    # every column at once, i.e. u <- G @ u.
-    if gate.kind == KIND_CNOT:
-        idx = np.arange(u.shape[0])
-        src = (idx >> gate.q0) & 1 == 1
-        flipped = idx ^ (1 << gate.q1)
-        sel = idx[src & (((idx >> gate.q1) & 1) == 0)]
-        par = flipped[src & (((idx >> gate.q1) & 1) == 0)]
-        u[sel], u[par] = u[par].copy(), u[sel].copy()
-        return
-    q = gate.q0
-    half = np.arange(u.shape[0] >> 1)
-    low = half & ((1 << q) - 1)
-    i0 = ((half >> q) << (q + 1)) | low
-    i1 = i0 | (1 << q)
-    m = _gate_matrix(gate)
-    a0 = u[i0].copy()
-    a1 = u[i1].copy()
-    u[i0] = m[0, 0] * a0 + m[0, 1] * a1
-    u[i1] = m[1, 0] * a0 + m[1, 1] * a1
+    states = np.eye(1 << n, dtype=np.complex128)
+    kinds, qa, qb, theta, _ = encode(circuit)
+    kernels.run_gates(states, n, kinds, qa, qb, theta)
+    return states.T

@@ -1,283 +1,159 @@
-"""Amplitude-update kernels: numba-jitted hot path with a pure-numpy fallback.
+"""Amplitude-update engine: every gate, Pauli fault and <Z> readout, in numpy.
 
-Backend selection, checked once at import:
-  TROTTERBENCH_BACKEND=numpy   force the pure-numpy path
-  TROTTERBENCH_BACKEND=numba   require numba (ImportError if missing)
-  unset                        numba when importable, else numpy
-
-Both paths implement identical arithmetic on strided amplitude pairs;
-no full-matrix products ever happen here. All kernels mutate the state
-array in place.
+Amplitudes are a C-contiguous complex array of shape (B, 2^n), one state per
+row, or (2^n,) for a single state. B=1 serves ideal and shots mode, B
+trajectories serve noisy mode, and the 2^n basis states serve the dense
+unitary of `circuit.circuit_unitary`. A gate on qubit q acts on the reshape
+view (B, 2^n >> (q+1), 2, 2^q), whose axis 2 is bit q of the basis index, so
+no gate builds index arrays and no full-matrix product ever happens. All
+kernels mutate the amplitudes in place.
 
 Gate encoding (see circuit.encode): kinds 0=RX, 1=RZ, 2=CNOT; `qa` is the
-rotation qubit or CNOT control, `qb` the CNOT target. Pauli codes for
-fault insertion: 1=X, 2=Y, 3=Z.
+rotation qubit or CNOT control, `qb` the CNOT target. Pauli codes: 0=I, 1=X,
+2=Y, 3=Z. A fault code (one int8 per gate and row) holds the Pauli applied
+to `qa` after the gate in bits 2-3 and the Pauli applied to `qb` in bits 0-1.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_env = os.environ.get("TROTTERBENCH_BACKEND", "").strip().lower()
-if _env not in ("", "numpy", "numba"):
-    raise ValueError(f"TROTTERBENCH_BACKEND must be 'numpy' or 'numba', got {_env!r}")
-
-if _env == "numpy":
-    _HAVE_NUMBA = False
-else:
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _env == "numba":
-            raise
-        _HAVE_NUMBA = False
-
 
 def active_backend() -> str:
-    return "numba" if _HAVE_NUMBA else "numpy"
+    """Name of the gate engine, recorded by the benchmark's machine line."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------- numpy path
+def _rows(amps: np.ndarray) -> np.ndarray:
+    """(B, 2^n) view of one state or a batch of states; never a copy."""
+    if not amps.flags.c_contiguous:
+        raise ValueError("amplitudes must be C-contiguous")
+    return amps.reshape(-1, amps.shape[-1])
 
-def _np_pairs(n_states: int, q: int):
-    g = np.arange(n_states >> 1)
-    i0 = ((g >> q) << (q + 1)) | (g & ((1 << q) - 1))
-    return i0, i0 | (1 << q)
+
+def _pair(amps, q):
+    """Views of the amplitudes of (B, 2^n) `amps` whose bit q is 0 and 1."""
+    v = amps.reshape(amps.shape[0], amps.shape[1] >> (q + 1), 2, 1 << q)
+    return v[:, :, 0], v[:, :, 1]
 
 
-def _np_apply_rx(amps, q, theta):
+def _swap(x0, x1):
+    tmp = x0.copy()
+    x0[...] = x1
+    x1[...] = tmp
+
+
+def _rx(amps, q, theta):
     c = math.cos(theta / 2)
     s = math.sin(theta / 2)
-    i0, i1 = _np_pairs(amps.shape[0], q)
-    a0 = amps[i0].copy()
-    a1 = amps[i1].copy()
-    amps[i0] = c * a0 - 1j * s * a1
-    amps[i1] = -1j * s * a0 + c * a1
+    x0, x1 = _pair(amps, q)
+    new0 = c * x0 - 1j * s * x1
+    x1[...] = -1j * s * x0 + c * x1
+    x0[...] = new0
 
 
-def _np_apply_rz(amps, q, theta):
-    i0, i1 = _np_pairs(amps.shape[0], q)
-    amps[i0] = amps[i0] * np.exp(-0.5j * theta)
-    amps[i1] = amps[i1] * np.exp(0.5j * theta)
+def _rz(amps, q, theta):
+    x0, x1 = _pair(amps, q)
+    x0 *= np.exp(-0.5j * theta)
+    x1 *= np.exp(0.5j * theta)
 
 
-def _np_apply_cnot(amps, control, target):
-    i0, i1 = _np_pairs(amps.shape[0], target)
-    on = ((i0 >> control) & 1) == 1
-    sel0 = i0[on]
-    sel1 = i1[on]
-    a = amps[sel0].copy()
-    amps[sel0] = amps[sel1]
-    amps[sel1] = a
-
-
-def _np_apply_pauli(amps, q, code):
-    i0, i1 = _np_pairs(amps.shape[0], q)
-    if code == 1:
-        a = amps[i0].copy()
-        amps[i0] = amps[i1]
-        amps[i1] = a
-    elif code == 2:
-        a0 = amps[i0].copy()
-        amps[i0] = -1j * amps[i1]
-        amps[i1] = 1j * a0
-    elif code == 3:
-        amps[i1] = -amps[i1]
-
-
-def _np_apply_encoded(amps, kind, a, b, theta):
-    if kind == 0:
-        _np_apply_rx(amps, a, theta)
-    elif kind == 1:
-        _np_apply_rz(amps, a, theta)
+def _cnot(amps, control, target):
+    hi, lo = max(control, target), min(control, target)
+    v = amps.reshape(amps.shape[0], amps.shape[1] >> (hi + 1), 2,
+                     1 << (hi - lo - 1), 2, 1 << lo)
+    if control == hi:
+        _swap(v[:, :, 1, :, 0], v[:, :, 1, :, 1])
     else:
-        _np_apply_cnot(amps, a, b)
+        _swap(v[:, :, 0, :, 1], v[:, :, 1, :, 1])
 
 
-def _np_z_expectations(amps, n_qubits, out):
-    probs = amps.real * amps.real + amps.imag * amps.imag
-    idx = np.arange(amps.shape[0])
-    for j in range(n_qubits):
-        signs = 1.0 - 2.0 * ((idx >> j) & 1)
-        out[j] = float(probs @ signs)
+def _pauli(amps, q, code):
+    x0, x1 = _pair(amps, q)
+    if code == 1:
+        _swap(x0, x1)
+    elif code == 2:
+        new0 = -1j * x1
+        x1[...] = 1j * x0
+        x0[...] = new0
+    elif code == 3:
+        np.negative(x1, out=x1)
 
 
-def _np_run(amps, n_qubits, kinds, qa, qb, theta):
-    for i in range(kinds.shape[0]):
-        _np_apply_encoded(amps, kinds[i], qa[i], qb[i], theta[i])
+def _gate(amps, kind, a, b, theta):
+    if kind == 0:
+        _rx(amps, a, theta)
+    elif kind == 1:
+        _rz(amps, a, theta)
+    else:
+        _cnot(amps, a, b)
 
 
-def _np_run_record(amps, n_qubits, kinds, qa, qb, theta, marks, out):
-    mp = 0
-    for i in range(kinds.shape[0]):
-        _np_apply_encoded(amps, kinds[i], qa[i], qb[i], theta[i])
-        while mp < marks.shape[0] and marks[mp] == i + 1:
-            _np_z_expectations(amps, n_qubits, out[mp])
-            mp += 1
+def _faults(amps, a, b, codes):
+    """Pauli faults after one gate: codes[r] acts on row r of `amps`; only
+    the affected rows are gathered, updated and written back."""
+    for q, paulis in ((a, codes >> 2), (b, codes & 3)):
+        for code in (1, 2, 3):
+            rows = np.flatnonzero(paulis == code)
+            if rows.size:
+                sub = amps[rows]
+                _pauli(sub, q, code)
+                amps[rows] = sub
 
 
-def _np_run_noisy(amps, n_qubits, kinds, qa, qb, theta, marks, u, choice, p1, p2, out):
-    mp = 0
-    for i in range(kinds.shape[0]):
-        kind = kinds[i]
-        _np_apply_encoded(amps, kind, qa[i], qb[i], theta[i])
-        if kind == 2:
-            if u[i] < p2:
-                f = int(choice[i] * 15.0) + 1  # 1..15, never (I, I)
-                pc = f >> 2
-                pt = f & 3
-                if pc:
-                    _np_apply_pauli(amps, qa[i], pc)
-                if pt:
-                    _np_apply_pauli(amps, qb[i], pt)
-        elif u[i] < p1:
-            _np_apply_pauli(amps, qa[i], int(choice[i] * 3.0) + 1)
-        while mp < marks.shape[0] and marks[mp] == i + 1:
-            _np_z_expectations(amps, n_qubits, out[mp])
-            mp += 1
+def _signs(n_qubits):
+    """(2^n, n) matrix of +1 where bit j of the basis index is 0, else -1."""
+    bits = (np.arange(1 << n_qubits)[:, None] >> np.arange(n_qubits)) & 1
+    return 1.0 - 2.0 * bits
 
 
-# ---------------------------------------------------------------- numba path
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _nb_apply_rx(amps, q, theta):
-        c = math.cos(theta / 2)
-        s = math.sin(theta / 2)
-        tk = 1 << q
-        for g in range(amps.shape[0] >> 1):
-            i0 = ((g >> q) << (q + 1)) | (g & (tk - 1))
-            i1 = i0 | tk
-            a0 = amps[i0]
-            a1 = amps[i1]
-            amps[i0] = c * a0 - 1j * s * a1
-            amps[i1] = -1j * s * a0 + c * a1
-
-    @njit(cache=True)
-    def _nb_apply_rz(amps, q, theta):
-        f0 = complex(math.cos(theta / 2), -math.sin(theta / 2))
-        f1 = f0.conjugate()
-        tk = 1 << q
-        for g in range(amps.shape[0] >> 1):
-            i0 = ((g >> q) << (q + 1)) | (g & (tk - 1))
-            i1 = i0 | tk
-            amps[i0] = amps[i0] * f0
-            amps[i1] = amps[i1] * f1
-
-    @njit(cache=True)
-    def _nb_apply_cnot(amps, control, target):
-        tk = 1 << target
-        for g in range(amps.shape[0] >> 1):
-            i0 = ((g >> target) << (target + 1)) | (g & (tk - 1))
-            if (i0 >> control) & 1:
-                i1 = i0 | tk
-                a = amps[i0]
-                amps[i0] = amps[i1]
-                amps[i1] = a
-
-    @njit(cache=True)
-    def _nb_apply_pauli(amps, q, code):
-        tk = 1 << q
-        for g in range(amps.shape[0] >> 1):
-            i0 = ((g >> q) << (q + 1)) | (g & (tk - 1))
-            i1 = i0 | tk
-            if code == 1:
-                a = amps[i0]
-                amps[i0] = amps[i1]
-                amps[i1] = a
-            elif code == 2:
-                a = amps[i0]
-                amps[i0] = -1j * amps[i1]
-                amps[i1] = 1j * a
-            else:
-                amps[i1] = -amps[i1]
-
-    @njit(cache=True)
-    def _nb_apply_encoded(amps, kind, a, b, theta):
-        if kind == 0:
-            _nb_apply_rx(amps, a, theta)
-        elif kind == 1:
-            _nb_apply_rz(amps, a, theta)
-        else:
-            _nb_apply_cnot(amps, a, b)
-
-    @njit(cache=True)
-    def _nb_z_expectations(amps, n_qubits, out):
-        for j in range(n_qubits):
-            out[j] = 0.0
-        for b in range(amps.shape[0]):
-            a = amps[b]
-            p = a.real * a.real + a.imag * a.imag
-            for j in range(n_qubits):
-                if (b >> j) & 1:
-                    out[j] -= p
-                else:
-                    out[j] += p
-
-    @njit(cache=True)
-    def _nb_run(amps, n_qubits, kinds, qa, qb, theta):
-        for i in range(kinds.shape[0]):
-            _nb_apply_encoded(amps, kinds[i], qa[i], qb[i], theta[i])
-
-    @njit(cache=True)
-    def _nb_run_record(amps, n_qubits, kinds, qa, qb, theta, marks, out):
-        mp = 0
-        for i in range(kinds.shape[0]):
-            _nb_apply_encoded(amps, kinds[i], qa[i], qb[i], theta[i])
-            while mp < marks.shape[0] and marks[mp] == i + 1:
-                _nb_z_expectations(amps, n_qubits, out[mp])
-                mp += 1
-
-    @njit(cache=True)
-    def _nb_run_noisy(
-        amps, n_qubits, kinds, qa, qb, theta, marks, u, choice, p1, p2, out
-    ):
-        mp = 0
-        for i in range(kinds.shape[0]):
-            kind = kinds[i]
-            _nb_apply_encoded(amps, kind, qa[i], qb[i], theta[i])
-            if kind == 2:
-                if u[i] < p2:
-                    f = int(choice[i] * 15.0) + 1
-                    pc = f >> 2
-                    pt = f & 3
-                    if pc:
-                        _nb_apply_pauli(amps, qa[i], pc)
-                    if pt:
-                        _nb_apply_pauli(amps, qb[i], pt)
-            elif u[i] < p1:
-                _nb_apply_pauli(amps, qa[i], int(choice[i] * 3.0) + 1)
-            while mp < marks.shape[0] and marks[mp] == i + 1:
-                _nb_z_expectations(amps, n_qubits, out[mp])
-                mp += 1
+def _z(amps, signs):
+    return (amps.real * amps.real + amps.imag * amps.imag) @ signs
 
 
-# ------------------------------------------------------------- public names
+def _run(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out):
+    """Apply every gate (and its faults) to all rows; after the gates up to
+    each step mark, write per-row <sigma_z> into out[..., mark index, :]."""
+    rows = _rows(amps)
+    kinds, qa, qb, theta = kinds.tolist(), qa.tolist(), qb.tolist(), theta.tolist()
+    hit = faults.any(axis=1).tolist() if faults is not None else [False] * len(kinds)
+    signs = _signs(n_qubits) if len(marks) else None
+    start = 0
+    for k, stop in enumerate([*marks, len(kinds)]):
+        for i in range(start, stop):
+            _gate(rows, kinds[i], qa[i], qb[i], theta[i])
+            if hit[i]:
+                _faults(rows, qa[i], qb[i], faults[i])
+        if k < len(marks):
+            out[..., k, :] = _z(rows, signs)
+        start = stop
 
-if _HAVE_NUMBA:
-    apply_gate_encoded = _nb_apply_encoded
-    apply_pauli = _nb_apply_pauli
-    run_gates = _nb_run
-    run_gates_record = _nb_run_record
-    run_gates_noisy = _nb_run_noisy
-    _z_expectations = _nb_z_expectations
-else:
-    apply_gate_encoded = _np_apply_encoded
-    apply_pauli = _np_apply_pauli
-    run_gates = _np_run
-    run_gates_record = _np_run_record
-    run_gates_noisy = _np_run_noisy
-    _z_expectations = _np_z_expectations
+
+def apply_gate_encoded(amps, kind, a, b, theta):
+    """One encoded gate on a state or batch of states."""
+    _gate(_rows(amps), kind, a, b, theta)
+
+
+def run_gates(amps, n_qubits, kinds, qa, qb, theta):
+    """All gates in order."""
+    _run(amps, n_qubits, kinds, qa, qb, theta, [], None, None)
+
+
+def run_gates_record(amps, n_qubits, kinds, qa, qb, theta, marks, out):
+    """All gates, recording <sigma_z> at the step marks: `out` is
+    (n_marks, n) for one state, (B, n_marks, n) for a batch."""
+    _run(amps, n_qubits, kinds, qa, qb, theta, marks, None, out)
+
+
+def run_gates_noisy(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out):
+    """As `run_gates_record` on a (B, 2^n) batch, with the Pauli faults given
+    by the int8 codes `faults` of shape (n_gates, B)."""
+    _run(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out)
 
 
 def z_expectations(amps: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Per-qubit <sigma_z> of a normalized amplitude array."""
-    out = np.empty(n_qubits, dtype=np.float64)
-    _z_expectations(amps, n_qubits, out)
-    return out
+    """Per-qubit <sigma_z> of normalized amplitudes: shape (n,) for one
+    state, (B, n) for a batch."""
+    return _z(amps, _signs(n_qubits))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .circuit import Circuit, encode
+from .circuit import KIND_CNOT, Circuit, encode
 from .statevector import BitString, StateVector
 
 
@@ -43,6 +43,11 @@ class NoiseParams:
 DEVICE_LIKE = NoiseParams(p1=0.002, p2=0.02, read01=0.02, read10=0.02)
 
 
+#: Trajectories simulated together as one (block, 2^n) batch; memory is
+#: bounded by this many states whatever the trajectory count.
+TRAJECTORY_BLOCK = 256
+
+
 def noisy_execute(
     circuit: Circuit,
     initial: StateVector,
@@ -55,7 +60,8 @@ def noisy_execute(
     Each trajectory replays the circuit with independently drawn faults and
     records exact expectations at the step marks; the return value has shape
     (n_steps, n_qubits). Trajectory t draws from a stream seeded by
-    (rng_seed, t), so results do not depend on evaluation order.
+    (rng_seed, t), so results do not depend on how trajectories are batched.
+    Trajectories run in blocks of TRAJECTORY_BLOCK and are summed in order.
     """
     if trajectories < 1:
         raise ValueError(f"trajectories must be >= 1, got {trajectories}")
@@ -63,27 +69,45 @@ def noisy_execute(
         raise ValueError("circuit and state widths differ")
     kinds, qa, qb, theta, marks = encode(circuit)
     n = circuit.n_qubits
-    acc = np.zeros((len(marks), n), dtype=np.float64)
-    out = np.empty_like(acc)
-    amps = np.empty_like(initial.amps)
     if noise.p1 == 0.0 and noise.p2 == 0.0:
         # identity channel: every trajectory is the ideal run, so return it
         # as-is instead of averaging T identical values (which would round)
-        np.copyto(amps, initial.amps)
-        kernels.run_gates_record(amps, n, kinds, qa, qb, theta, marks, out)
+        out = np.empty((len(marks), n), dtype=np.float64)
+        kernels.run_gates_record(initial.amps.copy(), n, kinds, qa, qb, theta, marks, out)
         return out
-    n_gates = len(kinds)
-    for t in range(trajectories):
-        rng = np.random.default_rng((rng_seed, t))
-        u = rng.random(n_gates)
-        choice = rng.random(n_gates)
-        np.copyto(amps, initial.amps)
-        kernels.run_gates_noisy(
-            amps, n, kinds, qa, qb, theta, marks, u, choice, noise.p1, noise.p2, out
-        )
-        acc += out
+    acc = np.zeros((len(marks), n), dtype=np.float64)
+    for first in range(0, trajectories, TRAJECTORY_BLOCK):
+        block = range(first, min(first + TRAJECTORY_BLOCK, trajectories))
+        faults = _fault_codes(kinds, noise, rng_seed, block)
+        amps = np.repeat(initial.amps[None, :], len(block), axis=0)
+        out = np.empty((len(block), len(marks), n), dtype=np.float64)
+        kernels.run_gates_noisy(amps, n, kinds, qa, qb, theta, marks, faults, out)
+        for row in out:  # one trajectory after another, as a running sum
+            acc += row
     acc /= trajectories
     return acc
+
+
+def _fault_codes(kinds, noise: NoiseParams, rng_seed: int, block: range) -> np.ndarray:
+    """int8 fault codes of shape (n_gates, len(block)) in the kernels' layout
+    (Pauli on the first qubit in bits 2-3, on the CNOT target in bits 0-1).
+
+    Trajectory t draws u and choice, one uniform each per gate, from the
+    stream (rng_seed, t). A rotation faults when u < p1, with X, Y or Z by
+    choice; a CNOT faults when u < p2, with one of the 15 non-identity
+    two-qubit Paulis by choice.
+    """
+    cnot = kinds == KIND_CNOT
+    prob = np.where(cnot, noise.p2, noise.p1)
+    n_paulis = np.where(cnot, 15.0, 3.0)
+    shift = np.where(cnot, 0, 2)
+    codes = np.empty((len(kinds), len(block)), dtype=np.int8)
+    for col, t in enumerate(block):
+        rng = np.random.default_rng((rng_seed, t))
+        u, choice = rng.random((2, len(kinds)))
+        code = ((choice * n_paulis).astype(np.int8) + 1) << shift
+        codes[:, col] = np.where(u < prob, code, 0)
+    return codes
 
 
 def apply_readout_error(

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import __version__
 from .circuit import circuit_unitary, encode, gate_counts
-from .exact import build_hamiltonian, exact_series, spectrum
+from .exact import MAX_DENSE_SPINS, build_hamiltonian, exact_series, spectrum
 from .kernels import run_gates, run_gates_record
 from .noise import (
     NoiseParams,
@@ -61,6 +61,13 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
+        # every run is compared with the dense exact reference, so refuse
+        # before any simulation allocates a batch of 2^n amplitudes
+        if self.tfim.n_spins > MAX_DENSE_SPINS:
+            raise ValueError(
+                f"n must be <= {MAX_DENSE_SPINS} (the dense exact reference), "
+                f"got {self.tfim.n_spins}"
+            )
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.mode not in MODES:

@@ -30,7 +30,7 @@ class StateVector:
             amps = np.zeros(dim, dtype=np.complex128)
             amps[0] = 1.0
         else:
-            amps = np.asarray(amps, dtype=np.complex128)
+            amps = np.ascontiguousarray(amps, dtype=np.complex128)
             if amps.shape != (dim,):
                 raise ValueError(f"expected {dim} amplitudes, got {amps.shape}")
         self.n_qubits = n_qubits

@@ -16,10 +16,10 @@ from trotterbench import (
     run_command,
 )
 from trotterbench.circuit import Circuit, cnot, rx
-from trotterbench.noise import apply_readout_to_expectations
+from trotterbench.noise import TRAJECTORY_BLOCK, apply_readout_to_expectations
 from trotterbench.statevector import execute_recording
 
-from oracles import two_qubit_pauli
+from oracles import PAULIS, gate_full_matrix, kron_at, two_qubit_pauli
 
 
 class TestNoiseParams:
@@ -95,6 +95,39 @@ class TestNoisyExecute:
         avg = noisy_execute(circ, init_basis_state(1, [0]),
                             NoiseParams(p1=1.0), 60_000, 9)[0]
         assert abs(avg[0] - (-1 / 3)) <= 0.02
+
+    def test_matches_dense_replay_of_each_trajectory(self):
+        # every trajectory's faults are redrawn from its own (seed, t) stream
+        # and applied with dense matrices; T crosses a block boundary, so a
+        # fault on the wrong qubit or Pauli, a gate's faults on the wrong
+        # rows, or a block that drops or repeats a trajectory moves the mean
+        # far beyond 1e-12
+        params = TfimParams(n_spins=3, field=1.5, dt=0.3)
+        circ = build_evolution_circuit(params, 3, TrotterOrder.SYMMETRIC, periodic=True)
+        noise = NoiseParams(p1=0.5, p2=0.5)
+        trajectories, seed, n = TRAJECTORY_BLOCK + 3, 17, 3
+        psi0 = all_down_state(n).amps
+        gates = [gate_full_matrix(g, n) for g in circ.gates]
+        idx = np.arange(2**n)
+        signs = np.stack([1.0 - 2.0 * ((idx >> j) & 1) for j in range(n)], axis=1)
+        total = np.zeros((circ.n_steps(), n))
+        for t in range(trajectories):
+            rng = np.random.default_rng((seed, t))
+            u = rng.random(len(circ))
+            choice = rng.random(len(circ))
+            psi, rows = psi0, []
+            for i, (g, m) in enumerate(zip(circ.gates, gates)):
+                psi = m @ psi
+                if g.name == "CNOT" and u[i] < noise.p2:
+                    f = int(choice[i] * 15.0) + 1
+                    psi = two_qubit_pauli(f >> 2, f & 3, g.q0, g.q1, n) @ psi
+                elif g.name != "CNOT" and u[i] < noise.p1:
+                    psi = kron_at(PAULIS[int(choice[i] * 3.0) + 1], g.q0, n) @ psi
+                if i + 1 in circ.step_marks:
+                    rows.append(np.abs(psi) ** 2 @ signs)
+            total += np.array(rows)
+        got = noisy_execute(circ, all_down_state(n), noise, trajectories, seed)
+        np.testing.assert_allclose(got, total / trajectories, rtol=0, atol=1e-12)
 
     def test_invalid_trajectories(self):
         circ = Circuit(2)

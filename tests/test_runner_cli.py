@@ -1,21 +1,17 @@
 """Run orchestration, file output determinism, and the CLI contract."""
 
-import importlib.util
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import trotterbench
 from trotterbench import (
     NoiseParams,
     RunConfig,
+    active_backend,
     compare_command,
     run_command,
+    runner,
     scaling_command,
     sweep_command,
 )
@@ -45,6 +41,8 @@ class TestRunConfig:
             RunConfig().replace(mode="magic")
         with pytest.raises(ValueError):
             RunConfig().replace(seed=-1)
+        with pytest.raises(ValueError, match="12"):
+            RunConfig().replace(n=13)
 
 
 class TestRunCommand:
@@ -181,6 +179,17 @@ class TestCli:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_too_many_spins_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys):
+        def simulate(config):
+            raise AssertionError("simulated before validating N")
+
+        monkeypatch.setattr(runner, "_simulate_local", simulate)
+        out = tmp_path / "out"
+        code = main(["run", "--n", "13", "--mode", "noisy", "--out", str(out)])
+        assert code == 2
+        assert "12" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_requires_g_list(self, capsys):
         code = main(["sweep"])
         assert code == 2
@@ -244,63 +253,5 @@ class TestCli:
         assert len(capsys.readouterr().out.splitlines()) == 3
 
 
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
-
-_SIM_SCRIPT = (
-    "import json, trotterbench as tb\n"
-    "cfg = tb.RunConfig().replace(g=2.0, mode='noisy', traj=16, seed=11)\n"
-    "r = tb.run_command(cfg, write=False)\n"
-    "print(json.dumps([tb.active_backend(), r.sim.local.tolist()]))\n"
-)
-
-
-def _run_child(script, backend):
-    """Run `script` in a fresh interpreter that imports the trotterbench under
-    test, with TROTTERBENCH_BACKEND set to `backend` (removed when None)."""
-    env = dict(os.environ)
-    env.pop("TROTTERBENCH_BACKEND", None)
-    if backend is not None:
-        env["TROTTERBENCH_BACKEND"] = backend
-    src = str(Path(trotterbench.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, check=False)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
-def _simulate(backend):
-    name, local = json.loads(_run_child(_SIM_SCRIPT, backend))
-    return name, np.asarray(local)
-
-
-class TestBackendFallback:
-    def test_numpy_backend_matches_active(self):
-        forced, forced_local = _simulate("numpy")
-        active, active_local = _simulate(None)
-        assert forced == "numpy"
-        assert active == ("numba" if HAVE_NUMBA else "numpy")
-        np.testing.assert_allclose(forced_local, active_local, atol=1e-12)
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba is the optional `numba` "
-                        "extra (pip install -e .[numba]) and is not installed")
-    def test_numba_backend_matches_numpy(self):
-        forced, numba_local = _simulate("numba")
-        _, numpy_local = _simulate("numpy")
-        assert forced == "numba"
-        np.testing.assert_allclose(numpy_local, numba_local, atol=1e-12)
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed, so requiring "
-                        "it cannot fail")
-    def test_required_numba_missing_raises_import_error(self):
-        script = (
-            "try:\n"
-            "    import trotterbench\n"
-            "except ImportError as exc:\n"
-            "    print('ImportError:', exc)\n"
-            "else:\n"
-            "    print('imported with', trotterbench.active_backend())\n"
-        )
-        out = _run_child(script, "numba")
-        assert out.startswith("ImportError:"), out
-        assert "numba" in out
+def test_active_backend_is_the_numpy_engine():
+    assert active_backend() == "numpy"

@@ -75,6 +75,14 @@ class TestApplyGate:
         expected = init_basis_state(2, [0, 1])
         np.testing.assert_allclose(state.amps, expected.amps, atol=1e-15)
 
+    def test_strided_amplitudes_are_stored_contiguously(self):
+        # the engine reshapes amplitudes in place, which a strided view forbids
+        raw = np.zeros(8, dtype=complex)
+        raw[2] = 1.0
+        state = StateVector(2, raw[::2])  # |q0=1, q1=0>
+        apply_gate(state, cnot(0, 1))
+        np.testing.assert_array_equal(state.amps, [0, 0, 0, 1])
+
     def test_out_of_range_qubit(self):
         state = init_basis_state(2, [0, 0])
         with pytest.raises(ValueError):
