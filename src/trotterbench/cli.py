@@ -13,6 +13,7 @@ import sys
 
 from .noise import DEVICE_LIKE
 from .runner import (
+    CONFIG_KEYS,
     RunConfig,
     compare_command,
     fmt,
@@ -21,10 +22,6 @@ from .runner import (
     sweep_command,
 )
 
-_CONFIG_KEYS = (
-    "n", "j", "g", "dt", "steps", "order", "mode", "shots", "traj",
-    "p1", "p2", "read01", "read10", "periodic", "seed", "out",
-)
 _NOISE_KEYS = ("p1", "p2", "read01", "read10")
 
 
@@ -90,15 +87,15 @@ def merge_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
             file_values = json.load(fh)
         if not isinstance(file_values, dict):
             raise ValueError("config file must hold a JSON object")
-    merged = {k: file_values[k] for k in _CONFIG_KEYS if k in file_values}
-    for key in _CONFIG_KEYS:
+    merged = {k: file_values[k] for k in CONFIG_KEYS if k in file_values}
+    for key in CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
     if merged.get("mode") == "noisy":
         for key in _NOISE_KEYS:
             merged.setdefault(key, getattr(DEVICE_LIKE, key))
-    extras = {k: v for k, v in file_values.items() if k not in _CONFIG_KEYS}
+    extras = {k: v for k, v in file_values.items() if k not in CONFIG_KEYS}
     return RunConfig.from_dict(merged), extras
 
 

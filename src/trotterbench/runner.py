@@ -3,6 +3,7 @@ comparisons, step-size scaling, and deterministic file output."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from dataclasses import dataclass, field
@@ -11,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circuit import circuit_unitary, encode, gate_counts
-from .exact import MAX_DENSE_SPINS, build_hamiltonian, exact_series, spectrum
+from .circuit import Circuit, circuit_unitary, encode, gate_counts
+from .exact import MAX_DENSE_SPINS, chain_spectrum, exact_series
 from .kernels import run_gates, run_gates_record
 from .noise import (
     NoiseParams,
@@ -36,6 +37,13 @@ from .trotter import (
 )
 
 MODES = ("ideal", "shots", "noisy")
+
+#: The flat config keys: RunConfig.to_dict/from_dict, JSON config files and
+#: the CLI flags of the same names.
+CONFIG_KEYS = (
+    "n", "j", "g", "dt", "steps", "order", "mode", "shots", "traj",
+    "p1", "p2", "read01", "read10", "periodic", "seed", "out",
+)
 
 #: Denominators below this are reported as the "NA" ratio sentinel.
 ZERO_RMSE = 1e-12
@@ -106,11 +114,7 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
-        known = {
-            "n", "j", "g", "dt", "steps", "order", "mode", "shots", "traj",
-            "p1", "p2", "read01", "read10", "periodic", "seed", "out",
-        }
-        unknown = set(d) - known
+        unknown = set(d) - set(CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return RunConfig(
@@ -150,11 +154,10 @@ class RunResult:
     wall_time: float = 0.0
 
 
-def _simulate_local(config: RunConfig) -> np.ndarray:
-    """Per-step local magnetization in the configured mode, rows k = 0..steps."""
-    params = config.tfim
-    n = params.n_spins
-    circuit = build_evolution_circuit(params, config.steps, config.order, config.periodic)
+def _simulate_local(config: RunConfig, circuit: Circuit) -> np.ndarray:
+    """Per-step local magnetization of the config's evolution circuit in the
+    configured mode, rows k = 0..steps."""
+    n = config.tfim.n_spins
     local = np.empty((config.steps + 1, n), dtype=np.float64)
 
     if config.mode == "ideal":
@@ -192,11 +195,11 @@ def run_command(config: RunConfig, write: bool = True) -> RunResult:
     start = time.perf_counter()
     params = config.tfim
     times = params.dt * np.arange(config.steps + 1)
-    local = _simulate_local(config)
+    circuit = build_evolution_circuit(params, config.steps, config.order, config.periodic)
+    local = _simulate_local(config, circuit)
     sim = MagnetizationSeries(times, local)
     exact = exact_series(params, all_down_state(params.n_spins), times, config.periodic)
     errors = error_series(sim.tail(1), exact.tail(1))
-    circuit = build_evolution_circuit(params, config.steps, config.order, config.periodic)
     result = RunResult(
         config=config,
         sim=sim,
@@ -278,14 +281,15 @@ def scaling_command(base: RunConfig, dt_values) -> list[dict]:
     dt_values = [float(dt) for dt in dt_values]
     if len(dt_values) < 3:
         raise ValueError("need at least 3 dt values for a slope fit")
+    spec = chain_spectrum(base.tfim, base.periodic)
     rows = []
     for order in (TrotterOrder.FIRST, TrotterOrder.SYMMETRIC):
         step_fn = first_order_step if order == TrotterOrder.FIRST else symmetric_step
         errs = []
         for dt in dt_values:
-            params = base.tfim.replace(dt=dt)
+            params = dataclasses.replace(base.tfim, dt=dt)
             u_step = circuit_unitary(step_fn(params, base.periodic))
-            u_exact = spectrum(build_hamiltonian(params, base.periodic)).propagator(dt)
+            u_exact = spec.propagator(dt)
             errs.append(float(np.linalg.norm(u_step - u_exact, 2)))
         if min(errs) < 1e-14:
             rows.append({"order": order.value, "slope": "degenerate", "errors": errs})

@@ -41,14 +41,6 @@ class TfimParams:
         if not all(map(math.isfinite, (self.coupling, self.field, self.dt))):
             raise ValueError("parameters must be finite")
 
-    def replace(self, **kw) -> "TfimParams":
-        return TfimParams(
-            n_spins=kw.get("n_spins", self.n_spins),
-            coupling=kw.get("coupling", self.coupling),
-            field=kw.get("field", self.field),
-            dt=kw.get("dt", self.dt),
-        )
-
 
 def chain_bonds(n_spins: int, periodic: bool = False) -> list[tuple[int, int]]:
     """Nearest-neighbour bonds (left site, right site), wrap bond last."""

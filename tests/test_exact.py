@@ -10,7 +10,7 @@ from trotterbench import (
     exact_propagator,
     exact_series,
 )
-from trotterbench.exact import spectrum
+from trotterbench.exact import chain_spectrum, spectrum
 
 from oracles import SX, expm_hermitian, naive_hamiltonian
 
@@ -32,6 +32,7 @@ class TestBuildHamiltonian:
     def test_matches_naive_kron_construction(self, n, field, periodic):
         params = TfimParams(n_spins=n, coupling=1.0, field=field)
         h = build_hamiltonian(params, periodic=periodic)
+        assert h.dtype == np.float64  # real symmetric, so the real eigh applies
         np.testing.assert_allclose(
             h, naive_hamiltonian(n, 1.0, field, periodic), atol=1e-10
         )
@@ -63,6 +64,19 @@ class TestSpectrum:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_chain_spectrum_is_read_only(self):
+        spec = chain_spectrum(TfimParams(n_spins=3, field=1.3))
+        with pytest.raises(ValueError, match="read-only"):
+            spec.eigenvalues[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            spec.eigenvectors[0, 0] = 0.0
+
+    def test_chain_spectrum_shared_across_dt(self):
+        a = chain_spectrum(TfimParams(n_spins=3, field=1.3, dt=0.1), periodic=True)
+        b = chain_spectrum(TfimParams(n_spins=3, field=1.3, dt=0.4), periodic=True)
+        assert a is b
+        assert chain_spectrum(TfimParams(n_spins=3, field=1.3, dt=0.1)) is not a
 
 
 class TestExactPropagator:
@@ -142,16 +156,22 @@ class TestExactSeries:
             exact_series(params, all_down_state(2), [0.0, 0.4, 0.2])
 
     def test_matches_independent_propagation(self):
-        # same series via the naive Hamiltonian and per-time expm
-        params = TfimParams(n_spins=3, field=1.5, dt=0.2)
-        times = 0.2 * np.arange(6)
-        series = exact_series(params, all_down_state(3), times)
-        h = naive_hamiltonian(3, 1.0, 1.5)
-        psi0 = all_down_state(3).amps
-        idx = np.arange(8)
-        signs = 1.0 - 2.0 * ((idx[:, None] >> np.arange(3)[None, :]) & 1)
-        for k, t in enumerate(times):
-            psi = expm_hermitian(h, t) @ psi0
-            np.testing.assert_allclose(
-                series.local[k], (np.abs(psi) ** 2) @ signs, atol=1e-10
-            )
+        # the naive complex Hamiltonian and a complex eigh per time point
+        # share no code with the real cached spectrum and its batched grid
+        times = 0.2 * np.arange(21)
+        for n in range(3, 8):
+            idx = np.arange(2**n)
+            signs = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n)[None, :]) & 1)
+            psi0 = all_down_state(n).amps
+            for periodic in (False, True):
+                for field in (0.0, 1.0, 2.5):
+                    params = TfimParams(n_spins=n, field=field)
+                    series = exact_series(params, all_down_state(n), times, periodic)
+                    h = naive_hamiltonian(n, 1.0, field, periodic)
+                    expected = np.array(
+                        [(np.abs(expm_hermitian(h, t) @ psi0) ** 2) @ signs for t in times]
+                    )
+                    np.testing.assert_allclose(
+                        series.local, expected, rtol=0, atol=1e-13,
+                        err_msg=f"n={n} periodic={periodic} g={field}",
+                    )

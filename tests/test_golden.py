@@ -5,6 +5,18 @@ per-trajectory kernels, and guard refactors of the engine, the noise model
 and the runner. Every number is printed with 12 significant digits, so a
 change of the arithmetic shows here. The <Z> readout goes through BLAS dot
 products, so another BLAS build may round a last digit differently.
+
+Two hashes were re-recorded when the exact reference moved from a complex
+eigh per order to one real eigh per chain, evaluated on the whole time
+grid at once. max |dm_exact| between the two solvers is 1.1e-15 at N=3
+(g=2, open) and 5.8e-15 at N=10 (g=2, 20 steps); every m_sim column and
+the shots and noisy hashes stayed byte-identical. Each changed value moved
+by one unit in its 12th digit:
+
+- ideal series.csv da0641e6...f19a5048 -> 3950c297...1065a66d, the dm of
+  t=0.8, site 1: 0.00272593360205 -> 0.00272593360206.
+- compare compare.csv a9ab09f1...2bc78c2 -> 2e29885e...454996f, ratio_total
+  at g=1: 2.11420625787 -> 2.11420625786.
 """
 
 import hashlib
@@ -18,7 +30,7 @@ class TestGoldenOutputs:
     GOLDEN = {
         "ideal": (
             ["run", "--n", "3", "--g", "2", "--steps", "4", "--order", "sym2"],
-            {"series.csv": "da0641e6d2f9ce1163d39aea23313d1d02aee2cc6955e468971c49c1f19a5048",
+            {"series.csv": "3950c2977496d87370230e99450a39794613b592d63ab81ef904bb7a1065a66d",
              "totals.csv": "b51c73a2081459bfaf130f46b438e0e02638128d28ee4dc577fe5490a42413f3"},
         ),
         "shots": (
@@ -43,7 +55,7 @@ class TestGoldenOutputs:
         ),
         "compare": (
             ["compare", "--n", "3", "--steps", "4", "--g-list", "1,2"],
-            {"compare.csv": "a9ab09f159b046149b7329d5b186371bc799c31cd42623d0b21b438ea2bc78c2"},
+            {"compare.csv": "2e29885e1cdee14e48ac1db9540f6d03fded64a3c6666d16ce31a2fda454996f"},
         ),
     }
 

@@ -10,6 +10,7 @@ from trotterbench import (
     RunConfig,
     active_backend,
     compare_command,
+    exact,
     run_command,
     runner,
     scaling_command,
@@ -29,6 +30,9 @@ class TestRunConfig:
     def test_round_trip(self):
         cfg = RunConfig().replace(g=3.0, mode="noisy", traj=64, p2=0.05, seed=9)
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_config_keys_are_the_dict_keys(self):
+        assert tuple(RunConfig().to_dict()) == runner.CONFIG_KEYS
 
     def test_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
@@ -78,6 +82,51 @@ class TestRunCommand:
     def test_gate_counts_echoed(self):
         result = run_command(RunConfig(), write=False)
         assert result.counts["total"] == {"RX": 100, "RZ": 80, "CNOT": 160}
+
+    def test_circuit_built_once_per_run(self, monkeypatch):
+        builds = []
+        original = runner.build_evolution_circuit
+
+        def counting(*args):
+            builds.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(runner, "build_evolution_circuit", counting)
+        for mode in ("ideal", "shots", "noisy"):
+            run_command(RunConfig().replace(n=3, steps=4, mode=mode, traj=4), write=False)
+        assert len(builds) == 3
+
+
+class TestExactSolves:
+    """One eigensolve per chain (n, J, g, periodic), whatever the order or dt."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        original = exact.spectrum
+
+        def counting(h):
+            calls.append(h.shape)
+            return original(h)
+
+        exact._chain_spectrum.cache_clear()
+        monkeypatch.setattr(exact, "spectrum", counting)
+        yield calls
+        exact._chain_spectrum.cache_clear()
+
+    def test_compare_solves_once_per_g(self, solves):
+        compare_command(RunConfig().replace(n=3, steps=4), [1.0, 2.0])
+        assert len(solves) == 2
+
+    def test_scaling_solves_once_for_every_dt(self, solves):
+        scaling_command(RunConfig().replace(n=3, g=2.0),
+                        [0.0125, 0.025, 0.05, 0.1, 0.2])
+        assert len(solves) == 1
+
+    def test_sweep_solves_once_per_g(self, solves):
+        # one solve per g: no g can read another g's cached spectrum
+        sweep_command(RunConfig().replace(n=3, steps=4), [1.0, 2.0, 3.0])
+        assert len(solves) == 3
 
 
 class TestOutputs:
