@@ -4,11 +4,14 @@ baseline the circuits are compared against)."""
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import z_signs
 from .observables import MagnetizationSeries
 from .statevector import StateVector
 from .trotter import TfimParams, chain_bonds
@@ -29,6 +32,9 @@ class Spectrum:
         return (v * np.exp(-1j * self.eigenvalues * t)) @ v.conj().T
 
     def evolve(self, psi0: np.ndarray, t: float) -> np.ndarray:
+        """exp(-i H t) psi0. Nothing in the package calls it; the benchmark's
+        tracer (perfbench/tracing.py) wraps it by name, so it stays while
+        that tracer does."""
         v = self.eigenvectors
         return v @ (np.exp(-1j * self.eigenvalues * t) * (v.conj().T @ psi0))
 
@@ -58,28 +64,126 @@ def build_hamiltonian(params: TfimParams, periodic: bool = False) -> np.ndarray:
 
 
 def spectrum(h: np.ndarray) -> Spectrum:
-    if not np.allclose(h, h.conj().T, rtol=0, atol=1e-12):
+    # max |h - h^dagger| <= 1e-12, and a NaN fails; one temporary, where
+    # np.allclose would make several of the full size
+    if not np.abs(h - h.conj().T).max() <= 1e-12:
         raise ValueError("operator is not Hermitian")
     evals, evecs = np.linalg.eigh(h)
     return Spectrum(evals, evecs)
 
 
-@functools.lru_cache(maxsize=1)
-def _chain_spectrum(n_spins: int, coupling: float, field: float, periodic: bool) -> Spectrum:
-    params = TfimParams(n_spins=n_spins, coupling=coupling, field=field)
-    # `spectrum` is looked up in this module at call time, so code that
-    # rebinds exact.spectrum (a counter, a tracer) sees every solve
-    spec = spectrum(build_hamiltonian(params, periodic))
-    # every caller shares the cached arrays
+@dataclass(frozen=True)
+class ParitySpectrum:
+    """Spectrum of a chain H that commutes with the global spin flip
+    P = prod_j X_j, solved in P's two eigenspaces.
+
+    P maps basis index x to x XOR (2^n - 1). Each r < 2^(n-1) (bit n-1
+    clear) pairs with its flip rbar = 2^n - 1 - r, and the states
+    (|r> +- |rbar>)/sqrt(2) span the P = +-1 sectors. In them H is block
+    diagonal with blocks H+- = A +- B, where A = H[r, r] and B = H[r, rbar];
+    `even` and `odd` are their spectra.
+    """
+
+    even: Spectrum
+    odd: Spectrum
+
+    def propagator(self, t: float) -> np.ndarray:
+        """exp(-i H t) on the full space, assembled from the sector blocks:
+        <r|U|r'> = <rbar|U|rbar'> = (U+ + U-)/2 and
+        <r|U|rbar'> = <rbar|U|r'> = (U+ - U-)/2."""
+        plus = self.even.propagator(t)
+        minus = self.odd.propagator(t)
+        same = (plus + minus) / 2
+        cross = (plus - minus) / 2
+        half = same.shape[0]
+        u = np.empty((2 * half, 2 * half), dtype=np.complex128)
+        # rbar runs over the upper half of the indices in reverse order
+        u[:half, :half] = same
+        u[:half, half:] = cross[:, ::-1]
+        u[half:, :half] = cross[::-1]
+        u[half:, half:] = same[::-1, ::-1]
+        return u
+
+
+@functools.cache
+def _blas_thread_control():
+    """(get, set) of the thread count of the OpenBLAS numpy's linalg calls,
+    or None under another BLAS."""
+    from numpy.linalg import _umath_linalg
+
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)  # dlsym searches its dependencies
+    except OSError:
+        return None
+    for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get is not None and set_ is not None:
+            get.restype = ctypes.c_int
+            set_.argtypes = [ctypes.c_int]
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the enclosed BLAS calls on one thread, then restore the count.
+    The count is process-wide, so BLAS calls of other Python threads in
+    the meantime run on one thread too.
+
+    The sector eigensolves are sequences of small synchronised BLAS calls.
+    On two cores a second OpenBLAS thread makes a 512-row solve no faster,
+    and while another process holds a core it makes it 1.5-2x slower, so
+    the exact side's time would follow the machine's load. At 2048 rows
+    (N=12) a second thread would save a third on an idle machine.
+    """
+    control = _blas_thread_control()
+    if control is None:
+        yield
+        return
+    get, set_ = control
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def _read_only(spec: Spectrum) -> Spectrum:
     spec.eigenvalues.flags.writeable = False
     spec.eigenvectors.flags.writeable = False
     return spec
 
 
-def chain_spectrum(params: TfimParams, periodic: bool = False) -> Spectrum:
-    """Read-only spectrum of the chain's H, cached for the last chain asked.
+@functools.lru_cache(maxsize=1)
+def _chain_spectrum(n_spins: int, coupling: float, field: float, periodic: bool) -> ParitySpectrum:
+    params = TfimParams(n_spins=n_spins, coupling=coupling, field=field)
+    h = build_hamiltonian(params, periodic)
+    half = h.shape[0] // 2
+    a = h[:half, :half]
+    b = h[:half, :half - 1:-1]  # column r holds rbar = 2^n - 1 - r
+    h_even, h_odd = a + b, a - b
+    # the full H is not needed once the blocks exist; eigh then runs on the
+    # two 2^(n-1) blocks alone
+    del h, a, b
+    # `spectrum` is looked up in this module at call time, so code that
+    # rebinds exact.spectrum (a counter, a tracer) sees every solve.
+    # Every caller shares the cached arrays.
+    with _one_blas_thread():
+        even = _read_only(spectrum(h_even))
+        del h_even
+        odd = _read_only(spectrum(h_odd))
+    return ParitySpectrum(even, odd)
 
-    H depends on (n, J, g, periodic) but not on dt, so one eigensolve serves
+
+def chain_spectrum(params: TfimParams, periodic: bool = False) -> ParitySpectrum:
+    """Read-only sector spectra of the chain's H, cached for the last chain
+    asked.
+
+    Every term of H, -J Z_a Z_b and -g X_j, commutes with the global spin
+    flip, so H splits into two blocks of size 2^(n-1). H depends on
+    (n, J, g, periodic) but not on dt, so one pair of eigensolves serves
     both Trotter orders, every step size and the whole time grid.
     """
     return _chain_spectrum(params.n_spins, params.coupling, params.field, bool(periodic))
@@ -98,7 +202,7 @@ def exact_series(
 ) -> MagnetizationSeries:
     """Exact M_j(t) and M(t) on the requested time grid.
 
-    The chain's cached spectrum serves every time point at once. `times`
+    The chain's cached sector spectra serve every time point at once. `times`
     must be ascending and start at 0.
     """
     times = np.asarray(times, dtype=np.float64)
@@ -109,16 +213,25 @@ def exact_series(
     if initial.n_qubits != params.n_spins:
         raise ValueError("initial state width does not match n_spins")
     spec = chain_spectrum(params, periodic)
-    v = spec.eigenvectors
     psi0 = initial.amps
-    # real V: two real products per complex vector, no complex copy of V
-    c = v.T @ psi0.real + 1j * (v.T @ psi0.imag)
-    coeffs = c[:, None] * np.exp(-1j * np.outer(spec.eigenvalues, times))
-    probs = (v @ coeffs.real) ** 2 + (v @ coeffs.imag) ** 2  # (2^n, times)
-    n = params.n_spins
-    idx = np.arange(1 << n)
-    signs = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n)[None, :]) & 1)
-    local = probs.T @ signs
+    half = psi0.shape[0] // 2
+    flipped = psi0[:half - 1:-1]  # amplitude of rbar = 2^n - 1 - r at r
+    even = _sector_amplitudes(spec.even, (psi0[:half] + flipped) / np.sqrt(2), times)
+    odd = _sector_amplitudes(spec.odd, (psi0[:half] - flipped) / np.sqrt(2), times)
+    # psi(r) = (even + odd)/sqrt(2) and psi(rbar) = (even - odd)/sqrt(2), and
+    # Z_j flips sign between r and rbar, so
+    # <Z_j> = sum_r (p(r) - p(rbar)) s_j(r) with p(r) - p(rbar) = 2 Re(even odd*)
+    diff = 2.0 * (even[0] * odd[0] + even[1] * odd[1])  # (2^(n-1), times)
+    local = diff.T @ z_signs(params.n_spins)[:half]
     # rounding can push |M| marginally past 1; the series type rejects that
     np.clip(local, -1.0, 1.0, out=local)
     return MagnetizationSeries(times, local)
+
+
+def _sector_amplitudes(spec: Spectrum, phi0: np.ndarray, times: np.ndarray):
+    """Real and imaginary parts of V exp(-i E t) V^T phi0 for every t,
+    each of shape (sector size, times): real V, so real products only."""
+    v = spec.eigenvectors
+    c = v.T @ phi0.real + 1j * (v.T @ phi0.imag)
+    coeffs = c[:, None] * np.exp(-1j * np.outer(spec.eigenvalues, times))
+    return v @ coeffs.real, v @ coeffs.imag

@@ -103,8 +103,9 @@ def _faults(amps, a, b, codes):
                 amps[rows] = sub
 
 
-def _signs(n_qubits):
-    """(2^n, n) matrix of +1 where bit j of the basis index is 0, else -1."""
+def z_signs(n_qubits):
+    """(2^n, n) matrix of +1 where bit j of the basis index is 0, else -1:
+    the sigma_z eigenvalue of qubit j on each basis state."""
     bits = (np.arange(1 << n_qubits)[:, None] >> np.arange(n_qubits)) & 1
     return 1.0 - 2.0 * bits
 
@@ -119,7 +120,7 @@ def _run(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out):
     rows = _rows(amps)
     kinds, qa, qb, theta = kinds.tolist(), qa.tolist(), qb.tolist(), theta.tolist()
     hit = faults.any(axis=1).tolist() if faults is not None else [False] * len(kinds)
-    signs = _signs(n_qubits) if len(marks) else None
+    signs = z_signs(n_qubits) if len(marks) else None
     start = 0
     for k, stop in enumerate([*marks, len(kinds)]):
         for i in range(start, stop):
@@ -156,4 +157,4 @@ def run_gates_noisy(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out):
 def z_expectations(amps: np.ndarray, n_qubits: int) -> np.ndarray:
     """Per-qubit <sigma_z> of normalized amplitudes: shape (n,) for one
     state, (B, n) for a batch."""
-    return _z(amps, _signs(n_qubits))
+    return _z(amps, z_signs(n_qubits))

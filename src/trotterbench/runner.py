@@ -14,7 +14,7 @@ import numpy as np
 from . import __version__
 from .circuit import Circuit, circuit_unitary, encode, gate_counts
 from .exact import MAX_DENSE_SPINS, chain_spectrum, exact_series
-from .kernels import run_gates, run_gates_record
+from .kernels import run_gates, run_gates_record, z_signs
 from .noise import (
     NoiseParams,
     apply_readout_to_expectations,
@@ -24,10 +24,9 @@ from .observables import (
     ErrorSummary,
     MagnetizationSeries,
     error_series,
-    local_magnetization_from_counts,
     scaling_fit,
 )
-from .statevector import all_down_state, sample_bitstrings, z_expectations
+from .statevector import all_down_state, sample_counts, z_expectations
 from .trotter import (
     TfimParams,
     TrotterOrder,
@@ -168,18 +167,19 @@ def _simulate_local(config: RunConfig, circuit: Circuit) -> np.ndarray:
         return local
 
     if config.mode == "shots":
+        # every partial sum of counts @ signs is an integer, so each row is
+        # the exact count difference over shots
         state = all_down_state(n)
-        counts0 = sample_bitstrings(state, config.shots, (config.seed, 0))
-        local[0] = local_magnetization_from_counts(counts0)
+        signs = z_signs(n)
+        local[0] = sample_counts(state, config.shots, (config.seed, 0)) @ signs
         kinds, qa, qb, theta, marks = encode(circuit)
         prev = 0
         for k, mark in enumerate(marks, start=1):
             run_gates(state.amps, n, kinds[prev:mark], qa[prev:mark],
                       qb[prev:mark], theta[prev:mark])
-            counts = sample_bitstrings(state, config.shots, (config.seed, k))
-            local[k] = local_magnetization_from_counts(counts)
+            local[k] = sample_counts(state, config.shots, (config.seed, k)) @ signs
             prev = mark
-        return local
+        return local / config.shots
 
     # noisy: trajectory-averaged expectations, then the readout map
     state = all_down_state(n)

@@ -104,10 +104,7 @@ def expectation_z(state: StateVector, qubit: int) -> float:
     """<sigma_z> of one qubit: +1 for |0>, -1 for |1>."""
     if not 0 <= qubit < state.n_qubits:
         raise ValueError(f"qubit {qubit} out of range")
-    probs = state.probabilities()
-    idx = np.arange(probs.shape[0])
-    signs = 1.0 - 2.0 * ((idx >> qubit) & 1)
-    return float(probs @ signs)
+    return float(state.probabilities() @ kernels.z_signs(state.n_qubits)[:, qubit])
 
 
 def z_expectations(state: StateVector) -> np.ndarray:
@@ -115,13 +112,13 @@ def z_expectations(state: StateVector) -> np.ndarray:
     return kernels.z_expectations(state.amps, state.n_qubits)
 
 
-def sample_bitstrings(
-    state: StateVector, shots: int, rng_seed
-) -> dict[BitString, int]:
+def sample_counts(state: StateVector, shots: int, rng_seed) -> np.ndarray:
     """Draw `shots` independent full-register measurements from |amp|^2.
 
     Deterministic for a fixed `rng_seed` (any numpy SeedSequence entropy).
-    Returns counts keyed by bit tuples with bits[j] = outcome of qubit j.
+    Returns int64 counts per basis index, shape (2^n,); the shot estimate of
+    every <sigma_z> is then `counts @ kernels.z_signs(n) / shots`, exact in
+    its integer partial sums.
     """
     if shots <= 0:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -130,7 +127,15 @@ def sample_bitstrings(
     if abs(total - 1.0) > 1e-9:
         raise ValueError("state is not normalized")
     rng = np.random.default_rng(rng_seed)
-    draws = rng.multinomial(shots, probs / total)
+    return rng.multinomial(shots, probs / total)
+
+
+def sample_bitstrings(
+    state: StateVector, shots: int, rng_seed
+) -> dict[BitString, int]:
+    """The draw of `sample_counts` keyed by bit tuples with bits[j] = outcome
+    of qubit j; outcomes never drawn are left out."""
+    draws = sample_counts(state, shots, rng_seed)
     n = state.n_qubits
     counts: dict[BitString, int] = {}
     for index in np.flatnonzero(draws):

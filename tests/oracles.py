@@ -44,6 +44,14 @@ def expm_hermitian(h, t):
     return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
 
 
+def evolve_hermitian(h, psi0, times):
+    """exp(-i h t) psi0 for every t, rows indexed by t: one complex eigh of
+    the full matrix serves the whole grid."""
+    evals, evecs = np.linalg.eigh(h)
+    c = evecs.conj().T @ psi0
+    return (np.exp(-1j * np.outer(times, evals)) * c) @ evecs.T
+
+
 def rx_matrix(theta):
     return expm_hermitian(SX, theta / 2)
 

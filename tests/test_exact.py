@@ -4,15 +4,38 @@ import numpy as np
 import pytest
 
 from trotterbench import (
+    StateVector,
     TfimParams,
     all_down_state,
     build_hamiltonian,
+    circuit_unitary,
     exact_propagator,
     exact_series,
+    first_order_step,
+    symmetric_step,
 )
+from trotterbench import exact
 from trotterbench.exact import chain_spectrum, spectrum
 
-from oracles import SX, expm_hermitian, naive_hamiltonian
+from oracles import SX, SZ, evolve_hermitian, expm_hermitian, kron_at, naive_hamiltonian
+
+
+def spin_flip(n):
+    """P = prod_j X_j from kron products, independent of the index trick."""
+    p = np.eye(2**n, dtype=complex)
+    for j in range(n):
+        p = kron_at(SX, j, n) @ p
+    return p
+
+
+def z_oracle(n):
+    """(2^n, n) diagonals of the kron-embedded Z_j."""
+    return np.stack([np.diag(kron_at(SZ, j, n)).real for j in range(n)], axis=1)
+
+
+def random_state(n, rng):
+    raw = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    return raw / np.linalg.norm(raw)
 
 
 class TestBuildHamiltonian:
@@ -67,16 +90,118 @@ class TestSpectrum:
 
     def test_chain_spectrum_is_read_only(self):
         spec = chain_spectrum(TfimParams(n_spins=3, field=1.3))
-        with pytest.raises(ValueError, match="read-only"):
-            spec.eigenvalues[0] = 0.0
-        with pytest.raises(ValueError, match="read-only"):
-            spec.eigenvectors[0, 0] = 0.0
+        for sector in (spec.even, spec.odd):
+            with pytest.raises(ValueError, match="read-only"):
+                sector.eigenvalues[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                sector.eigenvectors[0, 0] = 0.0
+
+    def test_rejects_nan(self):
+        # eigh itself would return NaNs here without raising
+        with pytest.raises(ValueError, match="not Hermitian"):
+            spectrum(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+
+    def test_hermitian_tolerance(self):
+        spectrum(np.array([[0.0, 1e-12], [0.0, 0.0]]))  # max |h - h^dagger| = 1e-12
+        with pytest.raises(ValueError, match="not Hermitian"):
+            spectrum(np.array([[0.0, 2e-12], [0.0, 0.0]]))
 
     def test_chain_spectrum_shared_across_dt(self):
         a = chain_spectrum(TfimParams(n_spins=3, field=1.3, dt=0.1), periodic=True)
         b = chain_spectrum(TfimParams(n_spins=3, field=1.3, dt=0.4), periodic=True)
         assert a is b
         assert chain_spectrum(TfimParams(n_spins=3, field=1.3, dt=0.1)) is not a
+
+
+class TestSectorSolveThreads:
+    """The sector eigensolves run on one BLAS thread and leave the count as
+    they found it."""
+
+    @pytest.fixture
+    def fake_blas(self, monkeypatch):
+        threads = [4]
+        monkeypatch.setattr(exact, "_blas_thread_control",
+                            lambda: (lambda: threads[0], lambda k: threads.__setitem__(0, k)))
+        exact._chain_spectrum.cache_clear()
+        yield threads
+        exact._chain_spectrum.cache_clear()
+
+    def test_solves_see_one_thread_and_count_is_restored(self, fake_blas, monkeypatch):
+        seen = []
+        original = exact.spectrum
+
+        def recording(h):
+            seen.append(fake_blas[0])
+            return original(h)
+
+        monkeypatch.setattr(exact, "spectrum", recording)
+        chain_spectrum(TfimParams(n_spins=4, field=0.7))
+        assert seen == [1, 1]
+        assert fake_blas == [4]
+
+    def test_count_is_restored_when_a_solve_fails(self, fake_blas, monkeypatch):
+        def failing(h):
+            raise ValueError("operator is not Hermitian")
+
+        monkeypatch.setattr(exact, "spectrum", failing)
+        with pytest.raises(ValueError):
+            chain_spectrum(TfimParams(n_spins=4, field=0.7))
+        assert fake_blas == [4]
+
+    def test_finds_numpys_openblas(self, monkeypatch):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        control = exact._blas_thread_control()
+        assert (control is not None) == ("openblas" in blas)
+        if control is not None:
+            get, _ = control
+            before, seen = get(), []
+            original = exact.spectrum
+            monkeypatch.setattr(exact, "spectrum", lambda h: (seen.append(get()), original(h))[1])
+            exact._chain_spectrum.cache_clear()
+            chain_spectrum(TfimParams(n_spins=6, field=1.1))
+            exact._chain_spectrum.cache_clear()
+            assert seen == [1, 1]
+            assert get() == before
+
+
+class TestSpinFlipParity:
+    """P = prod_j X_j commutes with H and with both Trotter steps, which is
+    what lets the exact side work in P's two sectors."""
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_commutes_with_hamiltonian_and_steps(self, periodic):
+        for n in (2, 3, 4, 5):
+            p = spin_flip(n)
+            for field in (0.0, 1.0, 2.5):
+                params = TfimParams(n_spins=n, field=field, dt=0.3)
+                h = build_hamiltonian(params, periodic)
+                np.testing.assert_allclose(p @ h, h @ p, rtol=0, atol=1e-13,
+                                           err_msg=f"H n={n} g={field}")
+                for step in (first_order_step, symmetric_step):
+                    u = circuit_unitary(step(params, periodic))
+                    np.testing.assert_allclose(p @ u, u @ p, rtol=0, atol=1e-13,
+                                               err_msg=f"{step.__name__} n={n} g={field}")
+
+    def test_sector_blocks_are_half_size(self):
+        spec = chain_spectrum(TfimParams(n_spins=5, field=1.0))
+        assert spec.even.eigenvectors.shape == spec.odd.eigenvectors.shape == (16, 16)
+        full = np.linalg.eigvalsh(naive_hamiltonian(5, 1.0, 1.0))
+        both = np.sort(np.concatenate([spec.even.eigenvalues, spec.odd.eigenvalues]))
+        np.testing.assert_allclose(both, full, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_chain_propagator_matches_oracle_and_is_unitary(self, n, periodic):
+        for field in (0.0, 1.0, 2.5):
+            params = TfimParams(n_spins=n, field=field)
+            h = naive_hamiltonian(n, 1.0, field, periodic)
+            for t in (0.0, 0.2, 1.7):
+                u = chain_spectrum(params, periodic).propagator(t)
+                msg = f"g={field} t={t}"
+                np.testing.assert_allclose(u, expm_hermitian(h, t), rtol=0,
+                                           atol=1e-13, err_msg=msg)
+                np.testing.assert_allclose(u.conj().T @ u, np.eye(2**n), rtol=0,
+                                           atol=1e-13, err_msg=msg)
 
 
 class TestExactPropagator:
@@ -116,9 +241,13 @@ class TestExactPropagator:
 class TestExactSeries:
     def test_zero_field_frozen_dynamics(self):
         # the all-down state is then an eigenstate: M_j pinned at -1
-        params = TfimParams(n_spins=5, field=0.0, dt=0.2)
-        series = exact_series(params, all_down_state(5), 0.2 * np.arange(11))
-        np.testing.assert_allclose(series.local, -1.0, atol=1e-12)
+        for n in range(2, 10):
+            for periodic in (False, True):
+                params = TfimParams(n_spins=n, field=0.0, dt=0.2)
+                series = exact_series(params, all_down_state(n), 0.2 * np.arange(21),
+                                      periodic)
+                np.testing.assert_allclose(series.local, -1.0, rtol=0, atol=1e-14,
+                                           err_msg=f"n={n} periodic={periodic}")
 
     def test_field_drives_oscillations_toward_zero(self):
         params = TfimParams(n_spins=5, coupling=1.0, field=1.0, dt=0.2)
@@ -129,10 +258,22 @@ class TestExactSeries:
         assert np.sum(np.diff(np.sign(diffs)) != 0) >= 2  # oscillates
 
     def test_chain_reflection_symmetry(self):
-        params = TfimParams(n_spins=5, field=1.0)
-        series = exact_series(params, all_down_state(5), 0.2 * np.arange(21))
-        np.testing.assert_allclose(series.local[:, 0], series.local[:, 4], atol=1e-10)
-        np.testing.assert_allclose(series.local[:, 1], series.local[:, 3], atol=1e-10)
+        # the open chain is symmetric under site j -> n-1-j
+        for n in range(2, 10):
+            for field in (1.0, 2.5):
+                params = TfimParams(n_spins=n, field=field)
+                series = exact_series(params, all_down_state(n), 0.2 * np.arange(21))
+                np.testing.assert_allclose(series.local, series.local[:, ::-1], rtol=0,
+                                           atol=1e-13, err_msg=f"n={n} g={field}")
+
+    def test_periodic_chain_is_site_uniform(self):
+        # the ring is translation invariant, and so is the all-down state
+        for n in range(2, 10):
+            params = TfimParams(n_spins=n, field=1.5)
+            series = exact_series(params, all_down_state(n), 0.2 * np.arange(21), True)
+            np.testing.assert_allclose(series.local, series.local[:, :1] * np.ones(n),
+                                       rtol=0, atol=1e-13, err_msg=f"n={n}")
+            assert series.local.min() < -0.1 and series.local.max() > -0.9  # not frozen
 
     def test_energy_and_norm_conserved(self):
         params = TfimParams(n_spins=4, field=2.0)
@@ -156,22 +297,21 @@ class TestExactSeries:
             exact_series(params, all_down_state(2), [0.0, 0.4, 0.2])
 
     def test_matches_independent_propagation(self):
-        # the naive complex Hamiltonian and a complex eigh per time point
-        # share no code with the real cached spectrum and its batched grid
+        # the naive complex Hamiltonian and its complex full-space eigh
+        # share no code with the cached sector spectra and their batched grid;
+        # random complex initial states occupy both sectors unevenly
+        rng = np.random.default_rng(2024)
         times = 0.2 * np.arange(21)
-        for n in range(3, 8):
-            idx = np.arange(2**n)
-            signs = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n)[None, :]) & 1)
-            psi0 = all_down_state(n).amps
+        for n in range(2, 9):
+            signs = z_oracle(n)
             for periodic in (False, True):
                 for field in (0.0, 1.0, 2.5):
                     params = TfimParams(n_spins=n, field=field)
-                    series = exact_series(params, all_down_state(n), times, periodic)
                     h = naive_hamiltonian(n, 1.0, field, periodic)
-                    expected = np.array(
-                        [(np.abs(expm_hermitian(h, t) @ psi0) ** 2) @ signs for t in times]
-                    )
-                    np.testing.assert_allclose(
-                        series.local, expected, rtol=0, atol=1e-13,
-                        err_msg=f"n={n} periodic={periodic} g={field}",
-                    )
+                    for psi0 in (all_down_state(n).amps, random_state(n, rng)):
+                        series = exact_series(params, StateVector(n, psi0), times, periodic)
+                        expected = np.abs(evolve_hermitian(h, psi0, times)) ** 2 @ signs
+                        np.testing.assert_allclose(
+                            series.local, expected, rtol=0, atol=1e-13,
+                            err_msg=f"n={n} periodic={periodic} g={field}",
+                        )

@@ -98,7 +98,8 @@ class TestRunCommand:
 
 
 class TestExactSolves:
-    """One eigensolve per chain (n, J, g, periodic), whatever the order or dt."""
+    """Two sector eigensolves of size 2^(n-1) per chain (n, J, g, periodic),
+    whatever the order or dt."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -116,17 +117,17 @@ class TestExactSolves:
 
     def test_compare_solves_once_per_g(self, solves):
         compare_command(RunConfig().replace(n=3, steps=4), [1.0, 2.0])
-        assert len(solves) == 2
+        assert solves == [(4, 4)] * 4
 
     def test_scaling_solves_once_for_every_dt(self, solves):
         scaling_command(RunConfig().replace(n=3, g=2.0),
                         [0.0125, 0.025, 0.05, 0.1, 0.2])
-        assert len(solves) == 1
+        assert solves == [(4, 4)] * 2
 
     def test_sweep_solves_once_per_g(self, solves):
-        # one solve per g: no g can read another g's cached spectrum
+        # one pair of solves per g: no g can read another g's cached spectra
         sweep_command(RunConfig().replace(n=3, steps=4), [1.0, 2.0, 3.0])
-        assert len(solves) == 3
+        assert solves == [(4, 4)] * 6
 
 
 class TestOutputs:

@@ -16,13 +16,15 @@ from trotterbench import (
     expectation_z,
     fidelity,
     init_basis_state,
+    local_magnetization_from_counts,
     rx,
     rz,
     sample_bitstrings,
 )
+from trotterbench.kernels import z_signs
 from trotterbench.circuit import Circuit
 from trotterbench.exact import build_hamiltonian, exact_propagator
-from trotterbench.statevector import StateVector, z_expectations
+from trotterbench.statevector import StateVector, sample_counts, z_expectations
 from trotterbench.trotter import TrotterOrder
 
 
@@ -205,6 +207,32 @@ class TestSampling:
         est /= 10**6
         for j in range(2):
             assert abs(est[j] - expectation_z(state, j)) <= 0.01
+
+
+    def test_count_array_readout_equals_bitstring_readout(self):
+        # the runner reads shots as counts @ z_signs / shots; every partial
+        # sum is an integer, so it equals the dict path bit for bit
+        rng = np.random.default_rng(11)
+        for n in range(1, 11):
+            raw = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+            state = StateVector(n, raw / np.linalg.norm(raw))
+            for seed in (0, 7, (3, 5), 2**40):
+                for shots in (1, 64, 1024):
+                    counts = sample_counts(state, shots, seed)
+                    assert counts.dtype == np.int64 and counts.shape == (2**n,)
+                    assert counts.sum() == shots
+                    bits = sample_bitstrings(state, shots, seed)
+                    as_dict = {tuple((i >> j) & 1 for j in range(n)): int(c)
+                               for i, c in enumerate(counts) if c}
+                    assert as_dict == bits, (n, seed, shots)
+                    assert np.array_equal(counts @ z_signs(n) / shots,
+                                          local_magnetization_from_counts(bits))
+
+    def test_counts_invalid_input(self):
+        with pytest.raises(ValueError):
+            sample_counts(init_basis_state(1, [0]), 0, 1)
+        with pytest.raises(ValueError):
+            sample_counts(StateVector(1, np.array([1.0, 1.0])), 8, 1)
 
 
 class TestFidelity:
