@@ -4,17 +4,15 @@ simulator, benchmarked against an exact spectral propagator."""
 __version__ = "0.1.0"
 
 from .circuit import Circuit, Gate, circuit_unitary, cnot, gate_counts, rx, rz
-from .exact import build_hamiltonian, exact_propagator, exact_series
+from .exact import build_hamiltonian, exact_series
 from .kernels import active_backend
-from .noise import DEVICE_LIKE, NoiseParams, apply_readout_error, noisy_execute
+from .noise import DEVICE_LIKE, NoiseParams, noisy_execute
 from .observables import (
     ErrorSummary,
     MagnetizationSeries,
     error_series,
     local_magnetization_from_counts,
-    local_magnetization_from_state,
     scaling_fit,
-    total_magnetization,
 )
 from .runner import (
     RunConfig,
@@ -27,10 +25,7 @@ from .runner import (
 from .statevector import (
     StateVector,
     all_down_state,
-    apply_gate,
     execute,
-    expectation_z,
-    fidelity,
     init_basis_state,
     sample_bitstrings,
 )
@@ -54,10 +49,7 @@ __all__ = [
     "StateVector",
     "init_basis_state",
     "all_down_state",
-    "apply_gate",
     "execute",
-    "expectation_z",
-    "fidelity",
     "sample_bitstrings",
     "TfimParams",
     "TrotterOrder",
@@ -65,17 +57,13 @@ __all__ = [
     "symmetric_step",
     "build_evolution_circuit",
     "build_hamiltonian",
-    "exact_propagator",
     "exact_series",
     "NoiseParams",
     "DEVICE_LIKE",
     "noisy_execute",
-    "apply_readout_error",
     "MagnetizationSeries",
     "ErrorSummary",
-    "local_magnetization_from_state",
     "local_magnetization_from_counts",
-    "total_magnetization",
     "error_series",
     "scaling_fit",
     "RunConfig",

@@ -21,8 +21,10 @@ KIND_CNOT = 2
 
 _KIND_NAMES = {KIND_RX: "RX", KIND_RZ: "RZ", KIND_CNOT: "CNOT"}
 
-# Dense verification is O(4^n); refuse beyond this.
-MAX_DENSE_QUBITS = 12
+#: Widest chain of every dense 2^n x 2^n path: the circuit unitary here, the
+#: exact reference's Hamiltonian and, through it, every run.
+MAX_DENSE_SPINS = 12
+
 
 
 @dataclass(frozen=True)
@@ -119,25 +121,6 @@ class Circuit:
     def n_steps(self) -> int:
         return len(self.step_marks)
 
-    def dump(self) -> str:
-        """Plain-text listing, one gate per line, `# step k` at step ends."""
-        lines = []
-        marks = iter(enumerate(self.step_marks, start=1))
-        next_mark = next(marks, None)
-        for i, g in enumerate(self.gates, start=1):
-            if g.kind == KIND_CNOT:
-                lines.append(f"CNOT {g.q0} {g.q1}")
-            else:
-                lines.append(f"{g.name} {g.q0} {g.theta:.12g}")
-            while next_mark is not None and next_mark[1] == i:
-                lines.append(f"# step {next_mark[0]}")
-                next_mark = next(marks, None)
-        return "\n".join(lines) + ("\n" if lines else "")
-
-
-def append_gate(circuit: Circuit, gate: Gate) -> Circuit:
-    return circuit.append(gate)
-
 
 def encode(circuit: Circuit):
     """Pack the gate list into flat arrays for the execution kernels.
@@ -188,8 +171,8 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     batch (a view).
     """
     n = circuit.n_qubits
-    if n > MAX_DENSE_QUBITS:
-        raise ValueError(f"dense unitary limited to {MAX_DENSE_QUBITS} qubits")
+    if n > MAX_DENSE_SPINS:
+        raise ValueError(f"dense unitary limited to {MAX_DENSE_SPINS} qubits")
     states = np.eye(1 << n, dtype=np.complex128)
     kinds, qa, qb, theta, _ = encode(circuit)
     kernels.run_gates(states, n, kinds, qa, qb, theta)

@@ -2,12 +2,15 @@
 
 Any flag may also come from a JSON config file (--config); explicit flags
 override file values, which override built-in defaults. In noisy mode the
-noise probabilities default to the device-like calibration unless set.
+noise probabilities default to the device-like calibration unless set. A
+value the mode would ignore is refused with exit 2 before any work:
+shots outside shots mode, traj or nonzero noise rates outside noisy mode.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -22,7 +25,8 @@ from .runner import (
     sweep_command,
 )
 
-_NOISE_KEYS = ("p1", "p2", "read01", "read10")
+#: Config keys that only one mode reads, and that mode.
+_MODE_KEYS = {"shots": "shots", "traj": "noisy"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,9 +96,14 @@ def merge_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
-    if merged.get("mode") == "noisy":
-        for key in _NOISE_KEYS:
-            merged.setdefault(key, getattr(DEVICE_LIKE, key))
+    mode = merged.get("mode", RunConfig.mode)
+    for key, needs in _MODE_KEYS.items():
+        if key in merged and mode != needs:
+            raise ValueError(f"{key} applies only in {needs} mode; "
+                             f"{mode} mode would ignore it")
+    if mode == "noisy":
+        for key, value in dataclasses.asdict(DEVICE_LIKE).items():
+            merged.setdefault(key, value)
     extras = {k: v for k, v in file_values.items() if k not in CONFIG_KEYS}
     return RunConfig.from_dict(merged), extras
 

@@ -11,12 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuit import MAX_DENSE_SPINS
 from .kernels import z_signs
 from .observables import MagnetizationSeries
 from .statevector import StateVector
 from .trotter import TfimParams, chain_bonds
-
-MAX_DENSE_SPINS = 12
 
 
 @dataclass(frozen=True)
@@ -187,11 +186,6 @@ def chain_spectrum(params: TfimParams, periodic: bool = False) -> ParitySpectrum
     both Trotter orders, every step size and the whole time grid.
     """
     return _chain_spectrum(params.n_spins, params.coupling, params.field, bool(periodic))
-
-
-def exact_propagator(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) via full eigendecomposition; exactly unitary up to rounding."""
-    return spectrum(h).propagator(t)
 
 
 def exact_series(

@@ -132,11 +132,6 @@ def _run(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out):
         start = stop
 
 
-def apply_gate_encoded(amps, kind, a, b, theta):
-    """One encoded gate on a state or batch of states."""
-    _gate(_rows(amps), kind, a, b, theta)
-
-
 def run_gates(amps, n_qubits, kinds, qa, qb, theta):
     """All gates in order."""
     _run(amps, n_qubits, kinds, qa, qb, theta, [], None, None)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .circuit import KIND_CNOT, Circuit, encode
-from .statevector import BitString, StateVector
+from .statevector import StateVector
 
 
 @dataclass(frozen=True)
@@ -108,29 +108,6 @@ def _fault_codes(kinds, noise: NoiseParams, rng_seed: int, block: range) -> np.n
         code = ((choice * n_paulis).astype(np.int8) + 1) << shift
         codes[:, col] = np.where(u < prob, code, 0)
     return codes
-
-
-def apply_readout_error(
-    counts: dict[BitString, int], noise: NoiseParams, rng_seed: int
-) -> dict[BitString, int]:
-    """Flip each measured bit independently (0->1 with read01, 1->0 with
-    read10); the total shot count is preserved. Outcomes are processed in
-    sorted order so the result is a pure function of (counts, seed)."""
-    if not counts:
-        raise ValueError("counts must be nonempty")
-    if noise.read01 == 0.0 and noise.read10 == 0.0:
-        return dict(counts)
-    rng = np.random.default_rng(rng_seed)
-    flipped: dict[BitString, int] = {}
-    for bits, c in sorted(counts.items()):
-        bit_arr = np.array(bits, dtype=np.int64)
-        thresh = np.where(bit_arr == 1, noise.read10, noise.read01)
-        draws = rng.random((c, bit_arr.shape[0])) < thresh[None, :]
-        outcomes = bit_arr[None, :] ^ draws
-        for row in outcomes:
-            key = tuple(int(b) for b in row)
-            flipped[key] = flipped.get(key, 0) + 1
-    return flipped
 
 
 def apply_readout_to_expectations(values: np.ndarray, noise: NoiseParams) -> np.ndarray:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .statevector import BitString, StateVector, z_expectations
+from .statevector import BitString
 
 
 @dataclass
@@ -55,13 +55,10 @@ class ErrorSummary:
     rmse_total: float
 
 
-def local_magnetization_from_state(state: StateVector) -> np.ndarray:
-    """M_j = <sigma_z_j> for every site."""
-    return z_expectations(state)
-
-
 def local_magnetization_from_counts(counts: dict[BitString, int]) -> np.ndarray:
-    """Shot estimate M_j = (n[bit_j = 0] - n[bit_j = 1]) / shots."""
+    """Shot estimate M_j = (n[bit_j = 0] - n[bit_j = 1]) / shots. Nothing in
+    the package calls it; the benchmark's tracer (perfbench/tracing.py) wraps
+    it by name, so it stays while that tracer does."""
     if not counts:
         raise ValueError("counts must be nonempty")
     n_sites = len(next(iter(counts)))
@@ -74,14 +71,6 @@ def local_magnetization_from_counts(counts: dict[BitString, int]) -> np.ndarray:
         for j, b in enumerate(bits):
             acc[j] += c * (1.0 - 2.0 * b)
     return acc / shots
-
-
-def total_magnetization(local: np.ndarray) -> float:
-    """Site average of per-site magnetizations."""
-    local = np.asarray(local, dtype=np.float64)
-    if local.size == 0:
-        raise ValueError("local magnetizations must be nonempty")
-    return float(local.mean())
 
 
 def error_series(sim: MagnetizationSeries, exact: MagnetizationSeries) -> ErrorSummary:

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circuit import Circuit, circuit_unitary, encode, gate_counts
-from .exact import MAX_DENSE_SPINS, chain_spectrum, exact_series
+from .circuit import MAX_DENSE_SPINS, Circuit, circuit_unitary, encode, gate_counts
+from .exact import chain_spectrum, exact_series
 from .kernels import run_gates, run_gates_record, z_signs
 from .noise import (
     NoiseParams,
@@ -79,6 +79,11 @@ class RunConfig:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.mode != "noisy" and not self.noise.is_zero():
+            raise ValueError(
+                "p1, p2, read01 and read10 apply only in noisy mode; "
+                f"{self.mode} mode would ignore them"
+            )
         if self.mode == "shots" and self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
         if self.mode == "noisy" and self.trajectories < 1:
@@ -116,27 +121,28 @@ class RunConfig:
         unknown = set(d) - set(CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        d = {**RunConfig().to_dict(), **d}  # missing keys take the field defaults
         return RunConfig(
             tfim=TfimParams(
-                n_spins=int(d.get("n", 5)),
-                coupling=float(d.get("j", 1.0)),
-                field=float(d.get("g", 1.0)),
-                dt=float(d.get("dt", 0.2)),
+                n_spins=int(d["n"]),
+                coupling=float(d["j"]),
+                field=float(d["g"]),
+                dt=float(d["dt"]),
             ),
-            steps=int(d.get("steps", 20)),
-            order=TrotterOrder(d.get("order", "first")),
-            mode=str(d.get("mode", "ideal")),
-            shots=int(d.get("shots", 1024)),
-            trajectories=int(d.get("traj", 256)),
+            steps=int(d["steps"]),
+            order=TrotterOrder(d["order"]),
+            mode=str(d["mode"]),
+            shots=int(d["shots"]),
+            trajectories=int(d["traj"]),
             noise=NoiseParams(
-                p1=float(d.get("p1", 0.0)),
-                p2=float(d.get("p2", 0.0)),
-                read01=float(d.get("read01", 0.0)),
-                read10=float(d.get("read10", 0.0)),
+                p1=float(d["p1"]),
+                p2=float(d["p2"]),
+                read01=float(d["read01"]),
+                read10=float(d["read10"]),
             ),
-            periodic=bool(d.get("periodic", False)),
-            seed=int(d.get("seed", 0)),
-            out=d.get("out"),
+            periodic=bool(d["periodic"]),
+            seed=int(d["seed"]),
+            out=d["out"],
         )
 
 

@@ -12,7 +12,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import kernels
-from .circuit import Circuit, Gate, encode
+from .circuit import Circuit, encode
 
 BitString = tuple[int, ...]
 
@@ -35,9 +35,6 @@ class StateVector:
                 raise ValueError(f"expected {dim} amplitudes, got {amps.shape}")
         self.n_qubits = n_qubits
         self.amps = amps
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amps.copy())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -66,17 +63,6 @@ def all_down_state(n_qubits: int) -> StateVector:
     return init_basis_state(n_qubits, [1] * n_qubits)
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate in place over strided amplitude pairs; returns `state`."""
-    for q in gate.qubits():
-        if q >= state.n_qubits:
-            raise ValueError(f"qubit {q} out of range")
-    kernels.apply_gate_encoded(
-        state.amps, np.int8(gate.kind), gate.q0, gate.q1, gate.theta
-    )
-    return state
-
-
 def execute(circuit: Circuit, state: StateVector) -> StateVector:
     """Run all gates of `circuit` on `state` in place; returns `state`."""
     if circuit.n_qubits != state.n_qubits:
@@ -84,27 +70,6 @@ def execute(circuit: Circuit, state: StateVector) -> StateVector:
     kinds, qa, qb, theta, _ = encode(circuit)
     kernels.run_gates(state.amps, state.n_qubits, kinds, qa, qb, theta)
     return state
-
-
-def execute_recording(circuit: Circuit, state: StateVector) -> np.ndarray:
-    """Run `circuit` on `state`, recording per-qubit <sigma_z> at each step mark.
-
-    Returns an array of shape (n_steps, n_qubits); the state is left at the
-    end of the circuit.
-    """
-    if circuit.n_qubits != state.n_qubits:
-        raise ValueError("circuit and state widths differ")
-    kinds, qa, qb, theta, marks = encode(circuit)
-    out = np.empty((len(marks), state.n_qubits), dtype=np.float64)
-    kernels.run_gates_record(state.amps, state.n_qubits, kinds, qa, qb, theta, marks, out)
-    return out
-
-
-def expectation_z(state: StateVector, qubit: int) -> float:
-    """<sigma_z> of one qubit: +1 for |0>, -1 for |1>."""
-    if not 0 <= qubit < state.n_qubits:
-        raise ValueError(f"qubit {qubit} out of range")
-    return float(state.probabilities() @ kernels.z_signs(state.n_qubits)[:, qubit])
 
 
 def z_expectations(state: StateVector) -> np.ndarray:
@@ -134,7 +99,9 @@ def sample_bitstrings(
     state: StateVector, shots: int, rng_seed
 ) -> dict[BitString, int]:
     """The draw of `sample_counts` keyed by bit tuples with bits[j] = outcome
-    of qubit j; outcomes never drawn are left out."""
+    of qubit j; outcomes never drawn are left out. Nothing in the package
+    calls it; the benchmark's tracer (perfbench/tracing.py) wraps it by
+    name, so it stays while that tracer does."""
     draws = sample_counts(state, shots, rng_seed)
     n = state.n_qubits
     counts: dict[BitString, int] = {}
@@ -142,10 +109,3 @@ def sample_bitstrings(
         bits = tuple((int(index) >> j) & 1 for j in range(n))
         counts[bits] = int(draws[index])
     return counts
-
-
-def fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("qubit counts differ")
-    return float(abs(np.vdot(a.amps, b.amps)) ** 2)

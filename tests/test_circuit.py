@@ -1,4 +1,4 @@
-"""Circuit IR: construction rules, dense unitaries, counts, and text dumps."""
+"""Circuit IR: construction rules, dense unitaries, and counts."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from trotterbench import (
     rz,
     symmetric_step,
 )
-from trotterbench.circuit import append_gate
 from trotterbench.statevector import StateVector
 
 from oracles import naive_circuit_unitary
@@ -42,7 +41,7 @@ class TestConstruction:
         circ = Circuit(5)
         circ.append(rx(0, 0.4))
         assert len(circ) == 1
-        assert append_gate(circ, rz(1, 0.1)) is circ
+        assert circ.append(rz(1, 0.1)) is circ
         assert len(circ) == 2
 
     def test_cnot_control_equals_target(self):
@@ -163,14 +162,3 @@ class TestGateCounts:
         assert len(counts["per_step"]) == 2
         for kind in ("RX", "RZ", "CNOT"):
             assert sum(s[kind] for s in counts["per_step"]) == counts["total"][kind]
-
-
-class TestDump:
-    def test_format_and_step_comments(self):
-        circ = Circuit(2)
-        circ.append(rx(0, -0.4)).append(cnot(0, 1)).append(rz(1, -0.4)).mark_step()
-        text = circ.dump()
-        assert text.splitlines() == ["RX 0 -0.4", "CNOT 0 1", "RZ 1 -0.4", "# step 1"]
-
-    def test_empty_dump(self):
-        assert Circuit(1).dump() == ""

@@ -9,7 +9,6 @@ from trotterbench import (
     all_down_state,
     build_hamiltonian,
     circuit_unitary,
-    exact_propagator,
     exact_series,
     first_order_step,
     symmetric_step,
@@ -207,24 +206,24 @@ class TestSpinFlipParity:
 class TestExactPropagator:
     def test_zero_time_is_identity(self):
         h = build_hamiltonian(TfimParams(n_spins=3, field=1.0))
-        np.testing.assert_allclose(exact_propagator(h, 0.0), np.eye(8), atol=1e-12)
+        np.testing.assert_allclose(spectrum(h).propagator(0.0), np.eye(8), atol=1e-12)
 
     def test_group_law(self):
         h = build_hamiltonian(TfimParams(n_spins=3, field=2.0))
-        u1 = exact_propagator(h, 0.37)
-        u2 = exact_propagator(h, 1.11)
-        u12 = exact_propagator(h, 1.48)
+        u1 = spectrum(h).propagator(0.37)
+        u2 = spectrum(h).propagator(1.11)
+        u12 = spectrum(h).propagator(1.48)
         assert np.linalg.norm(u1 @ u2 - u12, 2) <= 1e-10
 
     def test_unitary(self):
         h = build_hamiltonian(TfimParams(n_spins=4, field=1.0))
-        u = exact_propagator(h, 2.5)
+        u = spectrum(h).propagator(2.5)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(16), atol=1e-10)
 
     def test_single_spin_rabi_rotation(self):
         # H = -g sx on one spin: exp(-iHt) = cos(gt) I + i sin(gt) sx
         g, t = 1.0, 0.83
-        u = exact_propagator(-g * SX, t)
+        u = spectrum(-g * SX).propagator(t)
         expected = np.cos(g * t) * np.eye(2) + 1j * np.sin(g * t) * SX
         np.testing.assert_allclose(u, expected, atol=1e-12)
 
@@ -234,7 +233,7 @@ class TestExactPropagator:
 
         params = TfimParams(n_spins=5, field=1.0, dt=1e-3)
         step = first_order_step(params) if order == 1 else symmetric_step(params)
-        u_exact = exact_propagator(build_hamiltonian(params), 1e-3)
+        u_exact = spectrum(build_hamiltonian(params)).propagator(1e-3)
         assert np.linalg.norm(circuit_unitary(step) - u_exact, 2) <= 1e-4
 
 

@@ -9,15 +9,14 @@ from trotterbench import (
     TfimParams,
     TrotterOrder,
     all_down_state,
-    apply_readout_error,
     build_evolution_circuit,
     init_basis_state,
     noisy_execute,
     run_command,
 )
-from trotterbench.circuit import Circuit, cnot, rx
+from trotterbench.circuit import Circuit, cnot, encode, rx
+from trotterbench.kernels import run_gates_record
 from trotterbench.noise import TRAJECTORY_BLOCK, apply_readout_to_expectations
-from trotterbench.statevector import execute_recording
 
 from oracles import PAULIS, gate_full_matrix, kron_at, two_qubit_pauli
 
@@ -39,7 +38,9 @@ class TestNoisyExecute:
         params = TfimParams(n_spins=5, field=1.0, dt=0.2)
         circ = build_evolution_circuit(params, 10, TrotterOrder.SYMMETRIC)
         noisy = noisy_execute(circ, all_down_state(5), NoiseParams(), 3, 42)
-        ideal = execute_recording(circ, all_down_state(5))
+        kinds, qa, qb, theta, marks = encode(circ)
+        ideal = np.empty((len(marks), 5))
+        run_gates_record(all_down_state(5).amps, 5, kinds, qa, qb, theta, marks, ideal)
         np.testing.assert_array_equal(noisy, ideal)
 
     def test_determinism(self):
@@ -137,37 +138,6 @@ class TestNoisyExecute:
 
 
 class TestReadoutError:
-    def test_zero_rates_unchanged(self):
-        counts = {(0, 1): 500, (1, 1): 24}
-        assert apply_readout_error(counts, NoiseParams(), 3) == counts
-
-    def test_certain_flip(self):
-        counts = {(0, 0, 0): 128}
-        flipped = apply_readout_error(counts, NoiseParams(read01=1.0), 3)
-        assert flipped == {(1, 1, 1): 128}
-
-    def test_total_count_preserved_and_binomial_rate(self):
-        counts = {(0,) * 5: 1024}
-        noise = NoiseParams(read01=0.02)
-        flipped = apply_readout_error(counts, noise, 11)
-        assert sum(flipped.values()) == 1024
-        flips_per_qubit = np.zeros(5)
-        for bits, c in flipped.items():
-            flips_per_qubit += c * np.array(bits)
-        bound = 5 * np.sqrt(1024 * 0.02 * 0.98)
-        assert np.all(np.abs(flips_per_qubit - 1024 * 0.02) <= bound)
-
-    def test_determinism(self):
-        counts = {(0, 1): 700, (1, 0): 324}
-        noise = NoiseParams(read01=0.05, read10=0.1)
-        a = apply_readout_error(counts, noise, 21)
-        b = apply_readout_error(counts, noise, 21)
-        assert a == b
-
-    def test_empty_counts(self):
-        with pytest.raises(ValueError):
-            apply_readout_error({}, NoiseParams(), 1)
-
     def test_expectation_map(self):
         noise = NoiseParams(read01=0.02, read10=0.02)
         np.testing.assert_allclose(

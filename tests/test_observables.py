@@ -9,12 +9,10 @@ from trotterbench import (
     error_series,
     init_basis_state,
     local_magnetization_from_counts,
-    local_magnetization_from_state,
     sample_bitstrings,
     scaling_fit,
-    total_magnetization,
 )
-from trotterbench.statevector import StateVector
+from trotterbench.statevector import StateVector, z_expectations
 
 from oracles import kron_at, SZ
 
@@ -22,18 +20,18 @@ from oracles import kron_at, SZ
 class TestLocalFromState:
     def test_all_down(self):
         np.testing.assert_allclose(
-            local_magnetization_from_state(all_down_state(5)), [-1] * 5
+            z_expectations(all_down_state(5)), [-1] * 5
         )
 
     def test_all_up(self):
         np.testing.assert_allclose(
-            local_magnetization_from_state(init_basis_state(3, [0, 0, 0])), [1] * 3
+            z_expectations(init_basis_state(3, [0, 0, 0])), [1] * 3
         )
 
     def test_uniform_superposition(self):
         state = StateVector(2, np.full(4, 0.5))
         np.testing.assert_allclose(
-            local_magnetization_from_state(state), [0, 0], atol=1e-15
+            z_expectations(state), [0, 0], atol=1e-15
         )
 
     def test_consistency_with_operator_mean(self):
@@ -41,10 +39,10 @@ class TestLocalFromState:
         rng = np.random.default_rng(8)
         raw = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         state = StateVector(4, raw / np.linalg.norm(raw))
-        m = local_magnetization_from_state(state)
+        m = z_expectations(state)
         op = sum(kron_at(SZ, j, 4) for j in range(4)) / 4
         direct = np.real(state.amps.conj() @ op @ state.amps)
-        assert total_magnetization(m) == pytest.approx(direct, abs=1e-12)
+        assert m.mean() == pytest.approx(direct, abs=1e-12)
 
 
 class TestLocalFromCounts:
@@ -72,7 +70,7 @@ class TestLocalFromCounts:
         rng = np.random.default_rng(4)
         raw = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         state = StateVector(5, raw / np.linalg.norm(raw))
-        exact = local_magnetization_from_state(state)
+        exact = z_expectations(state)
         shots, seeds = 1024, 200
         estimates = np.empty((seeds, 5))
         for s in range(seeds):
@@ -80,21 +78,6 @@ class TestLocalFromCounts:
             estimates[s] = local_magnetization_from_counts(counts)
         sem = np.sqrt((1 - exact**2) / shots) / np.sqrt(seeds)
         assert np.all(np.abs(estimates.mean(axis=0) - exact) <= 3 * sem + 1e-12)
-
-
-class TestTotalMagnetization:
-    def test_all_down(self):
-        assert total_magnetization([-1, -1, -1, -1, -1]) == -1
-
-    def test_cancellation(self):
-        assert total_magnetization([1, -1]) == 0
-
-    def test_mean(self):
-        assert total_magnetization([0.2, 0.4, 0.6]) == pytest.approx(0.4)
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            total_magnetization([])
 
 
 class TestMagnetizationSeries:

@@ -48,6 +48,18 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="12"):
             RunConfig().replace(n=13)
 
+    def test_missing_keys_take_the_field_defaults(self):
+        assert RunConfig.from_dict({}) == RunConfig()
+        assert RunConfig.from_dict({"g": 2}) == RunConfig().replace(g=2.0)
+
+    @pytest.mark.parametrize("mode", ["ideal", "shots"])
+    def test_noise_refused_outside_noisy_mode(self, mode):
+        for key in ("p1", "p2", "read01", "read10"):
+            with pytest.raises(ValueError, match="noisy"):
+                RunConfig().replace(mode=mode, **{key: 0.1})
+        # zero rates are the noiseless channel the mode runs anyway
+        assert RunConfig().replace(mode=mode, p1=0.0).noise.is_zero()
+
 
 class TestRunCommand:
     def test_ideal_low_field_small_error(self):
@@ -238,6 +250,32 @@ class TestCli:
         code = main(["run", "--n", "13", "--mode", "noisy", "--out", str(out)])
         assert code == 2
         assert "12" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, file_values, key", [
+        (["run", "--mode", "shots", "--p1", "0.5", "--read01", "0.3"], None, "p1"),
+        (["run", "--mode", "ideal", "--shots", "64"], None, "shots"),
+        (["run", "--mode", "shots", "--traj", "8"], None, "traj"),
+        (["sweep", "--g-list", "1", "--mode", "noisy", "--shots", "8"], None, "shots"),
+        (["run", "--mode", "shots"], {"read10": 0.1}, "read10"),
+        (["run"], {"shots": 64}, "shots"),
+        (["run"], {"mode": "shots", "traj": 8}, "traj"),
+        (["compare", "--g-list", "1"], {"traj": 8}, "traj"),
+    ])
+    def test_value_the_mode_ignores_exit_2_before_any_work(
+        self, argv, file_values, key, tmp_path, monkeypatch, capsys
+    ):
+        def simulate(*args):
+            raise AssertionError("simulated before refusing an ignored value")
+
+        monkeypatch.setattr(runner, "_simulate_local", simulate)
+        if file_values is not None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(file_values))
+            argv = [*argv, "--config", str(cfg_path)]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_requires_g_list(self, capsys):

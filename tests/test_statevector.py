@@ -8,13 +8,10 @@ import pytest
 from trotterbench import (
     TfimParams,
     all_down_state,
-    apply_gate,
     build_evolution_circuit,
     circuit_unitary,
     cnot,
     execute,
-    expectation_z,
-    fidelity,
     init_basis_state,
     local_magnetization_from_counts,
     rx,
@@ -23,9 +20,14 @@ from trotterbench import (
 )
 from trotterbench.kernels import z_signs
 from trotterbench.circuit import Circuit
-from trotterbench.exact import build_hamiltonian, exact_propagator
+from trotterbench.exact import build_hamiltonian, spectrum
 from trotterbench.statevector import StateVector, sample_counts, z_expectations
 from trotterbench.trotter import TrotterOrder
+
+
+def apply_one(state, gate):
+    """Run `gate` on `state` as a one-gate circuit."""
+    return execute(Circuit(state.n_qubits).append(gate), state)
 
 
 class TestInitBasisState:
@@ -37,7 +39,7 @@ class TestInitBasisState:
         state = init_basis_state(5, [1, 1, 1, 1, 1])
         assert state.amps[31] == 1.0
         for j in range(5):
-            assert expectation_z(state, j) == pytest.approx(-1.0, abs=1e-15)
+            assert z_expectations(state)[j] == pytest.approx(-1.0, abs=1e-15)
 
     def test_bit_encoding_qubit0_is_lsb(self):
         state = init_basis_state(2, [1, 0])
@@ -56,24 +58,24 @@ class TestInitBasisState:
 class TestApplyGate:
     def test_rx_pi_is_minus_i_x(self):
         state = init_basis_state(1, [0])
-        apply_gate(state, rx(0, math.pi))
+        apply_one(state, rx(0, math.pi))
         np.testing.assert_allclose(state.amps, [0.0, -1j], atol=1e-15)
 
     def test_rz_phase_on_zero(self):
         theta = 0.713
         state = init_basis_state(1, [0])
-        apply_gate(state, rz(0, theta))
+        apply_one(state, rz(0, theta))
         np.testing.assert_allclose(state.amps, [np.exp(-0.5j * theta), 0.0], atol=1e-15)
 
     def test_cnot_truth_table(self):
         state = init_basis_state(2, [1, 0])
-        apply_gate(state, cnot(0, 1))
+        apply_one(state, cnot(0, 1))
         expected = init_basis_state(2, [1, 1])
         np.testing.assert_allclose(state.amps, expected.amps, atol=1e-15)
 
     def test_cnot_control_zero_does_nothing(self):
         state = init_basis_state(2, [0, 1])
-        apply_gate(state, cnot(0, 1))
+        apply_one(state, cnot(0, 1))
         expected = init_basis_state(2, [0, 1])
         np.testing.assert_allclose(state.amps, expected.amps, atol=1e-15)
 
@@ -82,20 +84,20 @@ class TestApplyGate:
         raw = np.zeros(8, dtype=complex)
         raw[2] = 1.0
         state = StateVector(2, raw[::2])  # |q0=1, q1=0>
-        apply_gate(state, cnot(0, 1))
+        apply_one(state, cnot(0, 1))
         np.testing.assert_array_equal(state.amps, [0, 0, 0, 1])
 
     def test_out_of_range_qubit(self):
         state = init_basis_state(2, [0, 0])
         with pytest.raises(ValueError):
-            apply_gate(state, rx(2, 0.1))
+            apply_one(state, rx(2, 0.1))
 
     def test_norm_preserved_per_gate(self):
         rng = np.random.default_rng(3)
         raw = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         state = StateVector(3, raw / np.linalg.norm(raw))
         for gate in (rx(0, 0.3), rz(1, -1.2), cnot(2, 0)):
-            apply_gate(state, gate)
+            apply_one(state, gate)
             assert abs(state.norm() - 1.0) < 1e-12
 
 
@@ -128,27 +130,31 @@ class TestNormAndUnitarity:
 
 class TestExpectationZ:
     def test_plus_one_on_zero(self):
-        assert expectation_z(init_basis_state(1, [0]), 0) == pytest.approx(1.0)
+        assert z_expectations(init_basis_state(1, [0]))[0] == pytest.approx(1.0)
 
     def test_minus_one_on_all_down(self):
         state = all_down_state(5)
         for j in range(5):
-            assert expectation_z(state, j) == pytest.approx(-1.0)
+            assert z_expectations(state)[j] == pytest.approx(-1.0)
 
     def test_zero_on_equal_superposition(self):
         state = StateVector(1, np.array([1, 1]) / math.sqrt(2))
-        assert expectation_z(state, 0) == pytest.approx(0.0, abs=1e-15)
+        assert z_expectations(state)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            expectation_z(init_basis_state(1, [0]), 1)
+        # one value per qubit, so qubit n has none
+        assert z_expectations(init_basis_state(1, [0])).shape == (1,)
+        with pytest.raises(IndexError):
+            z_expectations(init_basis_state(1, [0]))[1]
 
     def test_z_expectations_matches_loop(self):
         rng = np.random.default_rng(7)
         raw = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         state = StateVector(5, raw / np.linalg.norm(raw))
         via_all = z_expectations(state)
-        via_one = [expectation_z(state, j) for j in range(5)]
+        probs = np.abs(raw / np.linalg.norm(raw)) ** 2
+        via_one = [sum(p * (1 - 2 * ((i >> j) & 1)) for i, p in enumerate(probs))
+                   for j in range(5)]
         np.testing.assert_allclose(via_all, via_one, atol=1e-12)
 
 
@@ -206,7 +212,7 @@ class TestSampling:
             est += c * (1.0 - 2.0 * np.array(bits))
         est /= 10**6
         for j in range(2):
-            assert abs(est[j] - expectation_z(state, j)) <= 0.01
+            assert abs(est[j] - z_expectations(state)[j]) <= 0.01
 
 
     def test_count_array_readout_equals_bitstring_readout(self):
@@ -236,19 +242,6 @@ class TestSampling:
 
 
 class TestFidelity:
-    def test_self_fidelity(self):
-        rng = np.random.default_rng(0)
-        raw = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        state = StateVector(3, raw / np.linalg.norm(raw))
-        assert fidelity(state, state) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert fidelity(init_basis_state(1, [0]), init_basis_state(1, [1])) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            fidelity(init_basis_state(1, [0]), init_basis_state(2, [0, 0]))
-
     def test_commuting_limit_trotter_equals_exact(self):
         # at zero transverse field every term commutes: no Trotter error
         params = TfimParams(n_spins=4, coupling=1.0, field=0.0, dt=0.3)
@@ -256,5 +249,5 @@ class TestFidelity:
         state = all_down_state(4)
         execute(circ, state)
         h = build_hamiltonian(params)
-        psi = exact_propagator(h, 5 * 0.3) @ all_down_state(4).amps
-        assert fidelity(state, StateVector(4, psi)) == pytest.approx(1.0, abs=1e-10)
+        psi = spectrum(h).propagator(5 * 0.3) @ all_down_state(4).amps
+        assert abs(np.vdot(state.amps, psi)) ** 2 == pytest.approx(1.0, abs=1e-10)
