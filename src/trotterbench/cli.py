@@ -3,8 +3,10 @@
 Any flag may also come from a JSON config file (--config); explicit flags
 override file values, which override built-in defaults. In noisy mode the
 noise probabilities default to the device-like calibration unless set. A
-value the mode would ignore is refused with exit 2 before any work:
-shots outside shots mode, traj or nonzero noise rates outside noisy mode.
+value the mode or command would ignore is refused with exit 2 before any
+work: shots outside shots mode, traj or nonzero noise rates outside noisy
+mode, g in sweep and compare (which take --g-list), order in compare (which
+runs both), and anything in scaling but n, j, g, periodic and out.
 """
 
 from __future__ import annotations
@@ -27,6 +29,14 @@ from .runner import (
 
 #: Config keys that only one mode reads, and that mode.
 _MODE_KEYS = {"shots": "shots", "traj": "noisy"}
+
+#: Config keys a command never reads.
+_UNREAD_KEYS = {
+    "sweep": ("g",),
+    "compare": ("g", "order"),
+    "scaling": ("dt", "steps", "order", "mode", "shots", "traj",
+                "p1", "p2", "read01", "read10", "seed"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,6 +106,9 @@ def merge_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
+    for key in _UNREAD_KEYS.get(args.command, ()):
+        if key in merged:
+            raise ValueError(f"{args.command} would ignore {key}")
     mode = merged.get("mode", RunConfig.mode)
     for key, needs in _MODE_KEYS.items():
         if key in merged and mode != needs:

@@ -1,6 +1,8 @@
 """Exact transverse-field Ising reference: dense Hamiltonian, spectral
 propagator, and continuous-time magnetization series (the Trotter-error-free
-baseline the circuits are compared against)."""
+baseline the circuits are compared against). The open chain's series comes
+from free fermions (`fermion`); the periodic chain's from the dense spin-flip
+sectors, which also serve `scaling` and are the open chain's test oracle."""
 
 from __future__ import annotations
 
@@ -11,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fermion
 from .circuit import MAX_DENSE_SPINS
 from .kernels import z_signs
 from .observables import MagnetizationSeries
-from .statevector import StateVector
+from .statevector import all_down_state
 from .trotter import TfimParams, chain_bonds
 
 
@@ -38,6 +41,22 @@ class Spectrum:
         return v @ (np.exp(-1j * self.eigenvalues * t) * (v.conj().T @ psi0))
 
 
+def _check_dense(n: int) -> None:
+    if n > MAX_DENSE_SPINS:
+        raise ValueError(f"dense Hamiltonian limited to {MAX_DENSE_SPINS} spins")
+
+
+def _ising_diagonal(params: TfimParams, periodic: bool, dim: int) -> np.ndarray:
+    """-J sum_bonds z_a z_b on the basis states 0..dim-1."""
+    n = params.n_spins
+    bits = (np.arange(dim)[:, None] >> np.arange(n)[None, :]) & 1  # (dim, n)
+    z = 1.0 - 2.0 * bits
+    diag = np.zeros(dim, dtype=np.float64)
+    for a, b in chain_bonds(n, periodic):
+        diag -= params.coupling * z[:, a] * z[:, b]
+    return diag
+
+
 def build_hamiltonian(params: TfimParams, periodic: bool = False) -> np.ndarray:
     """H = -J sum_bonds sz sz - g sum_j sx as a dense real symmetric matrix.
 
@@ -46,16 +65,10 @@ def build_hamiltonian(params: TfimParams, periodic: bool = False) -> np.ndarray:
     directly from bit arithmetic, O(4^N) memory.
     """
     n = params.n_spins
-    if n > MAX_DENSE_SPINS:
-        raise ValueError(f"dense Hamiltonian limited to {MAX_DENSE_SPINS} spins")
+    _check_dense(n)
     dim = 1 << n
     idx = np.arange(dim)
-    bits = (idx[:, None] >> np.arange(n)[None, :]) & 1  # (dim, n)
-    z = 1.0 - 2.0 * bits
-    diag = np.zeros(dim, dtype=np.float64)
-    for a, b in chain_bonds(n, periodic):
-        diag -= params.coupling * z[:, a] * z[:, b]
-    h = np.diag(diag)
+    h = np.diag(_ising_diagonal(params, periodic, dim))
     for j in range(n):
         flipped = idx ^ (1 << j)
         h[flipped, idx] -= params.field
@@ -155,17 +168,36 @@ def _read_only(spec: Spectrum) -> Spectrum:
     return spec
 
 
+def _sector_blocks(params: TfimParams, periodic: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks H+- = A +- B of `ParitySpectrum`, built from bit arithmetic
+    without the 2^n x 2^n H; they equal the slices of `build_hamiltonian`
+    element for element.
+
+    A = H[r, r] for r < 2^(n-1) is the ZZ diagonal plus -g on the flips of
+    bits 0..n-2, which stay below 2^(n-1). Only the flip of bit n-1 leaves
+    that half, so B = H[r, rbar] is -g times the permutation
+    r -> r XOR (2^(n-1) - 1).
+    """
+    n = params.n_spins
+    _check_dense(n)
+    half = 1 << (n - 1)
+    idx = np.arange(half)
+    even = np.diag(_ising_diagonal(params, periodic, half))
+    for j in range(n - 1):
+        even[idx ^ (1 << j), idx] -= params.field
+    odd = even.copy()
+    # the same sums a + b and a - b as on the slices; b is 0.0 - g there,
+    # so a zero field adds +0.0, not -0.0
+    b = 0.0 - params.field
+    even[idx, idx ^ (half - 1)] += b
+    odd[idx, idx ^ (half - 1)] -= b
+    return even, odd
+
+
 @functools.lru_cache(maxsize=1)
 def _chain_spectrum(n_spins: int, coupling: float, field: float, periodic: bool) -> ParitySpectrum:
     params = TfimParams(n_spins=n_spins, coupling=coupling, field=field)
-    h = build_hamiltonian(params, periodic)
-    half = h.shape[0] // 2
-    a = h[:half, :half]
-    b = h[:half, :half - 1:-1]  # column r holds rbar = 2^n - 1 - r
-    h_even, h_odd = a + b, a - b
-    # the full H is not needed once the blocks exist; eigh then runs on the
-    # two 2^(n-1) blocks alone
-    del h, a, b
+    h_even, h_odd = _sector_blocks(params, periodic)
     # `spectrum` is looked up in this module at call time, so code that
     # rebinds exact.spectrum (a counter, a tracer) sees every solve.
     # Every caller shares the cached arrays.
@@ -188,26 +220,43 @@ def chain_spectrum(params: TfimParams, periodic: bool = False) -> ParitySpectrum
     return _chain_spectrum(params.n_spins, params.coupling, params.field, bool(periodic))
 
 
-def exact_series(
-    params: TfimParams,
-    initial: StateVector,
-    times,
-    periodic: bool = False,
-) -> MagnetizationSeries:
-    """Exact M_j(t) and M(t) on the requested time grid.
+def exact_series(params: TfimParams, times, periodic: bool = False) -> MagnetizationSeries:
+    """Exact M_j(t) and M(t) from all-down on the requested time grid.
 
-    The chain's cached sector spectra serve every time point at once. `times`
-    must be ascending and start at 0.
+    The open chain is read from free fermions (`fermion.z_series`), the
+    periodic chain from its cached sector spectra (`sector_series`); each
+    serves every time point at once. `times` must be ascending and start
+    at 0. The last series asked is cached, read-only, since both Trotter
+    orders of a g compare with the same one.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.shape[0] < 1:
         raise ValueError("times must be a nonempty 1-d array")
     if times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be ascending and start at 0")
-    if initial.n_qubits != params.n_spins:
-        raise ValueError("initial state width does not match n_spins")
+    local = _series(params.n_spins, params.coupling, params.field, bool(periodic),
+                    tuple(times.tolist()))
+    return MagnetizationSeries(times, local)
+
+
+@functools.lru_cache(maxsize=1)
+def _series(n_spins: int, coupling: float, field: float, periodic: bool,
+            times: tuple) -> np.ndarray:
+    params = TfimParams(n_spins=n_spins, coupling=coupling, field=field)
+    grid = np.array(times)
+    local = sector_series(params, grid, periodic) if periodic else fermion.z_series(params, grid)
+    # rounding can push |M| marginally past 1; the series type rejects that
+    np.clip(local, -1.0, 1.0, out=local)
+    local.flags.writeable = False
+    return local
+
+
+def sector_series(params: TfimParams, times: np.ndarray, periodic: bool = False) -> np.ndarray:
+    """<Z_j(t)> from all-down through the chain's cached sector spectra,
+    shape (times, n). It serves the periodic chain, and for the open chain
+    it is the dense oracle of the free-fermion series."""
     spec = chain_spectrum(params, periodic)
-    psi0 = initial.amps
+    psi0 = all_down_state(params.n_spins).amps
     half = psi0.shape[0] // 2
     flipped = psi0[:half - 1:-1]  # amplitude of rbar = 2^n - 1 - r at r
     even = _sector_amplitudes(spec.even, (psi0[:half] + flipped) / np.sqrt(2), times)
@@ -216,10 +265,7 @@ def exact_series(
     # Z_j flips sign between r and rbar, so
     # <Z_j> = sum_r (p(r) - p(rbar)) s_j(r) with p(r) - p(rbar) = 2 Re(even odd*)
     diff = 2.0 * (even[0] * odd[0] + even[1] * odd[1])  # (2^(n-1), times)
-    local = diff.T @ z_signs(params.n_spins)[:half]
-    # rounding can push |M| marginally past 1; the series type rejects that
-    np.clip(local, -1.0, 1.0, out=local)
-    return MagnetizationSeries(times, local)
+    return diff.T @ z_signs(params.n_spins)[:half]
 
 
 def _sector_amplitudes(spec: Spectrum, phi0: np.ndarray, times: np.ndarray):

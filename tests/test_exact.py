@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from trotterbench import (
-    StateVector,
     TfimParams,
     all_down_state,
     build_hamiltonian,
@@ -13,8 +12,8 @@ from trotterbench import (
     first_order_step,
     symmetric_step,
 )
-from trotterbench import exact
-from trotterbench.exact import chain_spectrum, spectrum
+from trotterbench import exact, fermion
+from trotterbench.exact import chain_spectrum, sector_series, spectrum
 
 from oracles import SX, SZ, evolve_hermitian, expm_hermitian, kron_at, naive_hamiltonian
 
@@ -30,11 +29,6 @@ def spin_flip(n):
 def z_oracle(n):
     """(2^n, n) diagonals of the kron-embedded Z_j."""
     return np.stack([np.diag(kron_at(SZ, j, n)).real for j in range(n)], axis=1)
-
-
-def random_state(n, rng):
-    raw = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-    return raw / np.linalg.norm(raw)
 
 
 class TestBuildHamiltonian:
@@ -243,14 +237,13 @@ class TestExactSeries:
         for n in range(2, 10):
             for periodic in (False, True):
                 params = TfimParams(n_spins=n, field=0.0, dt=0.2)
-                series = exact_series(params, all_down_state(n), 0.2 * np.arange(21),
-                                      periodic)
+                series = exact_series(params, 0.2 * np.arange(21), periodic)
                 np.testing.assert_allclose(series.local, -1.0, rtol=0, atol=1e-14,
                                            err_msg=f"n={n} periodic={periodic}")
 
     def test_field_drives_oscillations_toward_zero(self):
         params = TfimParams(n_spins=5, coupling=1.0, field=1.0, dt=0.2)
-        series = exact_series(params, all_down_state(5), 0.2 * np.arange(21))
+        series = exact_series(params, 0.2 * np.arange(21))
         assert series.total[0] == pytest.approx(-1.0, abs=1e-12)
         assert series.total.max() > -0.1  # rises from -1 toward 0
         diffs = np.diff(series.total)
@@ -261,7 +254,7 @@ class TestExactSeries:
         for n in range(2, 10):
             for field in (1.0, 2.5):
                 params = TfimParams(n_spins=n, field=field)
-                series = exact_series(params, all_down_state(n), 0.2 * np.arange(21))
+                series = exact_series(params, 0.2 * np.arange(21))
                 np.testing.assert_allclose(series.local, series.local[:, ::-1], rtol=0,
                                            atol=1e-13, err_msg=f"n={n} g={field}")
 
@@ -269,7 +262,7 @@ class TestExactSeries:
         # the ring is translation invariant, and so is the all-down state
         for n in range(2, 10):
             params = TfimParams(n_spins=n, field=1.5)
-            series = exact_series(params, all_down_state(n), 0.2 * np.arange(21), True)
+            series = exact_series(params, 0.2 * np.arange(21), True)
             np.testing.assert_allclose(series.local, series.local[:, :1] * np.ones(n),
                                        rtol=0, atol=1e-13, err_msg=f"n={n}")
             assert series.local.min() < -0.1 and series.local.max() > -0.9  # not frozen
@@ -288,29 +281,135 @@ class TestExactSeries:
     def test_times_must_start_at_zero(self):
         params = TfimParams(n_spins=2)
         with pytest.raises(ValueError):
-            exact_series(params, all_down_state(2), [0.2, 0.4])
+            exact_series(params, [0.2, 0.4])
 
     def test_times_must_ascend(self):
         params = TfimParams(n_spins=2)
         with pytest.raises(ValueError):
-            exact_series(params, all_down_state(2), [0.0, 0.4, 0.2])
+            exact_series(params, [0.0, 0.4, 0.2])
 
     def test_matches_independent_propagation(self):
         # the naive complex Hamiltonian and its complex full-space eigh
-        # share no code with the cached sector spectra and their batched grid;
-        # random complex initial states occupy both sectors unevenly
-        rng = np.random.default_rng(2024)
+        # share no code with the free-fermion series (open chain) or the
+        # cached sector spectra and their batched grid (periodic chain)
         times = 0.2 * np.arange(21)
         for n in range(2, 9):
             signs = z_oracle(n)
+            psi0 = all_down_state(n).amps
             for periodic in (False, True):
                 for field in (0.0, 1.0, 2.5):
                     params = TfimParams(n_spins=n, field=field)
                     h = naive_hamiltonian(n, 1.0, field, periodic)
-                    for psi0 in (all_down_state(n).amps, random_state(n, rng)):
-                        series = exact_series(params, StateVector(n, psi0), times, periodic)
-                        expected = np.abs(evolve_hermitian(h, psi0, times)) ** 2 @ signs
-                        np.testing.assert_allclose(
-                            series.local, expected, rtol=0, atol=1e-13,
-                            err_msg=f"n={n} periodic={periodic} g={field}",
-                        )
+                    series = exact_series(params, times, periodic)
+                    expected = np.abs(evolve_hermitian(h, psi0, times)) ** 2 @ signs
+                    np.testing.assert_allclose(
+                        series.local, expected, rtol=0, atol=1e-13,
+                        err_msg=f"n={n} periodic={periodic} g={field}",
+                    )
+
+    def test_series_is_cached_read_only(self):
+        params = TfimParams(n_spins=4, field=1.3)
+        first = exact_series(params, 0.2 * np.arange(6))
+        with pytest.raises(ValueError, match="read-only"):
+            first.local[0, 0] = 0.0
+        assert exact_series(params, 0.2 * np.arange(6)).local is first.local
+        other = exact_series(params, 0.1 * np.arange(6))
+        assert other.local is not first.local
+        np.testing.assert_allclose(other.local[2], first.local[1], rtol=0, atol=1e-15)
+
+
+class TestSectorBlocks:
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_blocks_equal_the_slices_of_the_full_hamiltonian(self, periodic):
+        for n in range(2, 11):
+            for field in (0.0, 1.0, 2.5):
+                params = TfimParams(n_spins=n, field=field)
+                h = build_hamiltonian(params, periodic)
+                half = h.shape[0] // 2
+                a, b = h[:half, :half], h[:half, :half - 1:-1]
+                even, odd = exact._sector_blocks(params, periodic)
+                msg = f"n={n} g={field}"
+                assert np.array_equal(even, a + b), msg
+                assert np.array_equal(odd, a - b), msg
+
+    def test_dense_bound(self):
+        with pytest.raises(ValueError):
+            exact._sector_blocks(TfimParams(n_spins=13))
+
+
+GRID = 0.2 * np.arange(21)
+FIELDS = (0.0, 1.0, 2.5, -1.3)
+COUPLINGS = (1.0, -0.7)
+
+
+class TestFreeFermionSeries:
+    """The open chain's free-fermion series against the dense references."""
+
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_matches_dense_sector_series(self, field, coupling):
+        for n in range(2, 11):
+            params = TfimParams(n_spins=n, coupling=coupling, field=field)
+            np.testing.assert_allclose(
+                fermion.z_series(params, GRID), sector_series(params, GRID),
+                rtol=0, atol=1e-13, err_msg=f"n={n}",
+            )
+
+    def test_matches_dense_sector_series_at_twelve_spins(self):
+        params = TfimParams(n_spins=12, coupling=-0.7, field=2.5)
+        np.testing.assert_allclose(fermion.z_series(params, GRID),
+                                   sector_series(params, GRID), rtol=0, atol=1e-13)
+        exact._chain_spectrum.cache_clear()  # release the 2^11-row spectra
+
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_matches_kron_oracle(self, field, coupling):
+        for n in range(2, 9):
+            params = TfimParams(n_spins=n, coupling=coupling, field=field)
+            h = naive_hamiltonian(n, coupling, field)
+            psi = evolve_hermitian(h, all_down_state(n).amps, GRID)
+            np.testing.assert_allclose(
+                fermion.z_series(params, GRID), np.abs(psi) ** 2 @ z_oracle(n),
+                rtol=0, atol=1e-13, err_msg=f"n={n}",
+            )
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_starts_at_minus_one_exactly(self, field):
+        for n in range(2, 11):
+            local = fermion.z_series(TfimParams(n_spins=n, field=field), GRID)
+            assert np.all(local[0] == -1.0), f"n={n}"
+
+    def test_beyond_the_dense_limit(self):
+        times = np.array([0.0, 0.7, 3.1])
+        local = fermion.z_series(TfimParams(n_spins=64, field=1.0), times)
+        np.testing.assert_allclose(local, local[:, ::-1], rtol=0, atol=1e-13)
+        assert np.abs(local).max() <= 1.0
+        assert local[1:].max() > -0.9  # the field moves the chain
+        frozen = fermion.z_series(TfimParams(n_spins=64, field=0.0), times)
+        np.testing.assert_allclose(frozen, -1.0, rtol=0, atol=1e-13)
+
+    def test_majorana_propagator_is_orthogonal(self):
+        r = fermion.majorana_propagator(TfimParams(n_spins=6, field=1.7), GRID)
+        np.testing.assert_array_equal(r[0], np.eye(12))
+        np.testing.assert_allclose(r @ r.transpose(0, 2, 1), np.broadcast_to(np.eye(12), r.shape),
+                                   rtol=0, atol=1e-13)
+
+    def test_pfaffian_of_known_matrices(self):
+        # Pf [[0, x], [-x, 0]] = x; Pf of a 4x4 is a01 a23 - a02 a13 + a03 a12
+        rng = np.random.default_rng(7)
+        raw = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+        a = np.triu(raw, 1)
+        a = a - a.transpose(0, 2, 1)
+        expected = (a[:, 0, 1] * a[:, 2, 3] - a[:, 0, 2] * a[:, 1, 3]
+                    + a[:, 0, 3] * a[:, 1, 2])
+        np.testing.assert_allclose(fermion.pfaffian(a.copy()), expected, rtol=1e-13)
+        # Pf^2 = det on a larger batch, pivots moving in some members only
+        raw = rng.standard_normal((6, 10, 10)) + 1j * rng.standard_normal((6, 10, 10))
+        b = np.triu(raw, 1)
+        b = b - b.transpose(0, 2, 1)
+        np.testing.assert_allclose(fermion.pfaffian(b.copy()) ** 2, np.linalg.det(b),
+                                   rtol=1e-11)
+        # a zero column leaves no pivot: Pf = 0, for that member only
+        c = np.stack([a[0], a[0]])
+        c[1, 0, :] = c[1, :, 0] = 0.0
+        np.testing.assert_allclose(fermion.pfaffian(c), [expected[0], 0.0], rtol=1e-13)

@@ -110,8 +110,9 @@ class TestRunCommand:
 
 
 class TestExactSolves:
-    """Two sector eigensolves of size 2^(n-1) per chain (n, J, g, periodic),
-    whatever the order or dt."""
+    """The open chain's exact series needs no eigensolve. The periodic chain
+    and `scaling` make two sector eigensolves of size 2^(n-1) per chain
+    (n, J, g, periodic), whatever the order or dt."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -128,7 +129,7 @@ class TestExactSolves:
         exact._chain_spectrum.cache_clear()
 
     def test_compare_solves_once_per_g(self, solves):
-        compare_command(RunConfig().replace(n=3, steps=4), [1.0, 2.0])
+        compare_command(RunConfig().replace(n=3, steps=4, periodic=True), [1.0, 2.0])
         assert solves == [(4, 4)] * 4
 
     def test_scaling_solves_once_for_every_dt(self, solves):
@@ -138,8 +139,13 @@ class TestExactSolves:
 
     def test_sweep_solves_once_per_g(self, solves):
         # one pair of solves per g: no g can read another g's cached spectra
-        sweep_command(RunConfig().replace(n=3, steps=4), [1.0, 2.0, 3.0])
+        sweep_command(RunConfig().replace(n=3, steps=4, periodic=True), [1.0, 2.0, 3.0])
         assert solves == [(4, 4)] * 6
+
+    def test_open_chain_makes_no_solves(self, solves):
+        compare_command(RunConfig().replace(n=3, steps=4), [1.0, 2.0])
+        sweep_command(RunConfig().replace(n=3, steps=4), [1.0, 2.0, 3.0])
+        assert solves == []
 
 
 class TestOutputs:
@@ -261,6 +267,20 @@ class TestCli:
         (["run"], {"shots": 64}, "shots"),
         (["run"], {"mode": "shots", "traj": 8}, "traj"),
         (["compare", "--g-list", "1"], {"traj": 8}, "traj"),
+        (["sweep", "--g-list", "1", "--g", "9"], None, "g"),
+        (["compare", "--g-list", "1"], {"g": 9}, "g"),
+        (["compare", "--g-list", "1", "--order", "sym2"], None, "order"),
+        (["scaling", "--dt-list", "0.05,0.1,0.2", "--steps", "7"], None, "steps"),
+        (["scaling", "--dt-list", "0.05,0.1,0.2", "--dt", "0.1"], None, "dt"),
+        (["scaling", "--dt-list", "0.05,0.1,0.2", "--order", "sym2"], None, "order"),
+        (["scaling", "--dt-list", "0.05,0.1,0.2", "--mode", "noisy"], None, "mode"),
+        (["scaling", "--dt-list", "0.05,0.1,0.2", "--shots", "8"], None, "shots"),
+        (["scaling", "--dt-list", "0.05,0.1,0.2", "--traj", "8"], None, "traj"),
+        (["scaling", "--dt-list", "0.05,0.1,0.2", "--p1", "0"], None, "p1"),
+        (["scaling", "--dt-list", "0.05,0.1,0.2"], {"p2": 0.1}, "p2"),
+        (["scaling", "--dt-list", "0.05,0.1,0.2"], {"read01": 0.1}, "read01"),
+        (["scaling", "--dt-list", "0.05,0.1,0.2", "--read10", "0.1"], None, "read10"),
+        (["scaling", "--dt-list", "0.05,0.1,0.2"], {"seed": 4}, "seed"),
     ])
     def test_value_the_mode_ignores_exit_2_before_any_work(
         self, argv, file_values, key, tmp_path, monkeypatch, capsys
@@ -269,6 +289,7 @@ class TestCli:
             raise AssertionError("simulated before refusing an ignored value")
 
         monkeypatch.setattr(runner, "_simulate_local", simulate)
+        monkeypatch.setattr(runner, "chain_spectrum", simulate)
         if file_values is not None:
             cfg_path = tmp_path / "cfg.json"
             cfg_path.write_text(json.dumps(file_values))
