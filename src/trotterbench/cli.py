@@ -21,14 +21,22 @@ from .runner import (
     CONFIG_KEYS,
     RunConfig,
     compare_command,
+    compare_table,
+    csv_text,
     fmt,
+    is_number,
     run_command,
     scaling_command,
+    scaling_table,
     sweep_command,
+    sweep_table,
 )
 
 #: Config keys that only one mode reads, and that mode.
 _MODE_KEYS = {"shots": "shots", "traj": "noisy"}
+
+#: The noise rates' defaults in noisy mode: the device-like calibration.
+_NOISY_DEFAULTS = dataclasses.asdict(DEVICE_LIKE)
 
 #: Config keys a command never reads.
 _UNREAD_KEYS = {
@@ -39,30 +47,28 @@ _UNREAD_KEYS = {
 }
 
 
+def _help(f: dataclasses.Field, default) -> str:
+    """The field's help text and default; a noise rate's is its noisy-mode one."""
+    if f.name in _NOISY_DEFAULTS:
+        noisy = fmt(_NOISY_DEFAULTS[f.name])
+        return f"{f.metadata['help']} (noisy mode default: device-like {noisy})"
+    if default is None:
+        return f.metadata["help"]
+    return f"{f.metadata['help']} (default {fmt(default) if type(default) is float else default})"
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file supplying any flag")
-    common.add_argument("--n", type=int, help="number of spins (default 5)")
-    common.add_argument("--j", type=float, help="Ising coupling J (default 1)")
-    common.add_argument("--g", type=float, help="transverse field g (default 1)")
-    common.add_argument("--dt", type=float, help="Trotter step size (default 0.2)")
-    common.add_argument("--steps", type=int, help="number of Trotter steps (default 20)")
-    common.add_argument("--order", choices=["first", "sym2"],
-                        help="Trotter order (default first)")
-    common.add_argument("--mode", choices=["ideal", "shots", "noisy"],
-                        help="execution mode (default ideal)")
-    common.add_argument("--shots", type=int, help="shots per time point (default 1024)")
-    common.add_argument("--traj", type=int,
-                        help="noise trajectories per run (default 256)")
-    common.add_argument("--p1", type=float,
-                        help="fault probability after single-qubit gates")
-    common.add_argument("--p2", type=float, help="fault probability after CNOTs")
-    common.add_argument("--read01", type=float, help="readout 0->1 flip probability")
-    common.add_argument("--read10", type=float, help="readout 1->0 flip probability")
-    common.add_argument("--periodic", action=argparse.BooleanOptionalAction,
-                        help="periodic chain (default open)")
-    common.add_argument("--seed", type=int, help="base RNG seed (default 0)")
-    common.add_argument("--out", help="output directory")
+    defaults = RunConfig().to_dict()
+    for f in dataclasses.fields(RunConfig):
+        if f.type is bool:
+            kind = {"action": argparse.BooleanOptionalAction}
+        elif f.type in (int, float):
+            kind = {"type": f.type}
+        else:  # order, mode and out: a string, from the choices if any
+            kind = {"choices": f.metadata["choices"]}
+        common.add_argument(f"--{f.name}", help=_help(f, defaults[f.name]), **kind)
 
     parser = argparse.ArgumentParser(
         prog="trotterbench",
@@ -115,26 +121,24 @@ def merge_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
             raise ValueError(f"{key} applies only in {needs} mode; "
                              f"{mode} mode would ignore it")
     if mode == "noisy":
-        for key, value in dataclasses.asdict(DEVICE_LIKE).items():
+        for key, value in _NOISY_DEFAULTS.items():
             merged.setdefault(key, value)
     extras = {k: v for k, v in file_values.items() if k not in CONFIG_KEYS}
     return RunConfig.from_dict(merged), extras
 
 
-def _text(v) -> str:
-    return v if isinstance(v, str) else fmt(v)
-
-
 def _value_list(args, extras: dict, key: str, flag: str) -> list[float]:
-    text = getattr(args, key, None)
-    if text is not None:
-        return _parse_list(text, flag)
-    if key in extras:
-        raw = extras[key]
-        if isinstance(raw, str):
-            return _parse_list(raw, flag)
+    """The flag's list, else the config file's: a string or a list of numbers."""
+    raw = getattr(args, key, None)
+    if raw is None:
+        raw = extras.get(key)
+    if raw is None:
+        raise ValueError(f"{flag} is required")
+    if isinstance(raw, str):
+        return _parse_list(raw, flag)
+    if isinstance(raw, list) and all(map(is_number, raw)):
         return [float(v) for v in raw]
-    raise ValueError(f"{flag} is required")
+    raise ValueError(f"{key} must be a string or a list of numbers, got {raw!r}")
 
 
 def main(argv=None) -> int:
@@ -151,23 +155,15 @@ def main(argv=None) -> int:
         elif args.command == "sweep":
             g_values = _value_list(args, extras, "g_list", "--g-list")
             results = sweep_command(config, g_values)
-            print("g,rmse_local,rmse_total")
-            for g, r in zip(g_values, results):
-                print(f"{fmt(g)},{fmt(r.errors.rmse_local)},{fmt(r.errors.rmse_total)}")
+            print(csv_text(*sweep_table(g_values, results)), end="")
         elif args.command == "compare":
             g_values = _value_list(args, extras, "g_list", "--g-list")
             rows = compare_command(config, g_values)
-            header = ["g", "rmse_local_first", "rmse_local_sym2", "ratio_local",
-                      "rmse_total_first", "rmse_total_sym2", "ratio_total"]
-            print(",".join(header))
-            for row in rows:
-                print(",".join(_text(row[h]) for h in header))
+            print(csv_text(*compare_table(rows)), end="")
         elif args.command == "scaling":
             dt_values = _value_list(args, extras, "dt_list", "--dt-list")
             rows = scaling_command(config, dt_values)
-            print("order,slope")
-            for row in rows:
-                print(f"{row['order']},{_text(row['slope'])}")
+            print(csv_text(*scaling_table(rows)), end="")
     except (ValueError, json.JSONDecodeError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

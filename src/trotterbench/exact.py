@@ -148,6 +148,10 @@ def _one_blas_thread():
     and while another process holds a core it makes it 1.5-2x slower, so
     the exact side's time would follow the machine's load. At 2048 rows
     (N=12) a second thread would save a third on an idle machine.
+
+    It also fixes the periodic reference's rounding to one thread count, so
+    outputs stay byte-identical: with two threads, periodic outputs move by
+    roundoff from N = 9 on (README, "Exact reference").
     """
     control = _blas_thread_control()
     if control is None:

@@ -1,12 +1,13 @@
 """Experiment orchestration: configured runs, parameter sweeps, order
 comparisons, step-size scaling, and deterministic file output."""
 
-from __future__ import annotations
+# No `from __future__ import annotations`: RunConfig's field types are read at run time.
 
 import dataclasses
 import json
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,115 +38,121 @@ from .trotter import (
 
 MODES = ("ideal", "shots", "noisy")
 
-#: The flat config keys: RunConfig.to_dict/from_dict, JSON config files and
-#: the CLI flags of the same names.
-CONFIG_KEYS = (
-    "n", "j", "g", "dt", "steps", "order", "mode", "shots", "traj",
-    "p1", "p2", "read01", "read10", "periodic", "seed", "out",
-)
-
 #: Denominators below this are reported as the "NA" ratio sentinel.
 ZERO_RMSE = 1e-12
+
+
+def _key(default, help: str, choices: tuple | None = None):
+    """A config key's default, --help text and, for a string key, choices."""
+    return field(default=default, metadata={"help": help, "choices": choices})
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """One simulation run: chain parameters, circuit choice, and execution mode.
 
-    Defaults mirror the benchmark setup: a 5-spin chain at J = 1 with
-    dt = 0.2/J, 20 Trotter steps, and 1024 shots where sampling applies.
+    Each field is a config key: of `to_dict`/`from_dict`, of JSON config
+    files, and the CLI flag of the same name. Defaults mirror the benchmark
+    setup: a 5-spin chain at J = 1 with dt = 0.2/J, 20 Trotter steps, and
+    1024 shots where sampling applies.
     """
 
-    tfim: TfimParams = TfimParams(n_spins=5, coupling=1.0, field=1.0, dt=0.2)
-    steps: int = 20
-    order: TrotterOrder = TrotterOrder.FIRST
-    mode: str = "ideal"
-    shots: int = 1024
-    trajectories: int = 256
-    noise: NoiseParams = NoiseParams()
-    periodic: bool = False
-    seed: int = 0
-    out: str | None = None
+    n: int = _key(5, "number of spins")
+    j: float = _key(1.0, "Ising coupling J")
+    g: float = _key(1.0, "transverse field g")
+    dt: float = _key(0.2, "Trotter step size")
+    steps: int = _key(20, "number of Trotter steps")
+    order: TrotterOrder = _key(TrotterOrder.FIRST, "Trotter order",
+                               tuple(o.value for o in TrotterOrder))
+    mode: str = _key("ideal", "execution mode", MODES)
+    shots: int = _key(1024, "shots per time point")
+    traj: int = _key(256, "noise trajectories per run")
+    p1: float = _key(0.0, "fault probability after single-qubit gates")
+    p2: float = _key(0.0, "fault probability after CNOTs")
+    read01: float = _key(0.0, "readout 0->1 flip probability")
+    read10: float = _key(0.0, "readout 1->0 flip probability")
+    periodic: bool = _key(False, "periodic chain, not open")
+    seed: int = _key(0, "base RNG seed")
+    out: str | None = _key(None, "output directory")
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _typed(f, getattr(self, f.name)))
+        params, noise = self.tfim, self.noise  # each checks its own ranges
         # one cap for every run, refused before any simulation allocates
         # 2^n amplitudes: the periodic reference and `scaling` need dense
         # 2^n x 2^n matrices. The open chain's free-fermion reference does
         # not, but its runs keep the cap until ideal mode is free-fermion too.
-        if self.tfim.n_spins > MAX_DENSE_SPINS:
+        if params.n_spins > MAX_DENSE_SPINS:
             raise ValueError(
                 f"n must be <= {MAX_DENSE_SPINS}, the size limit of the dense "
-                f"matrices of the periodic reference and scaling, got {self.tfim.n_spins}"
+                f"matrices of the periodic reference and scaling, got {params.n_spins}"
             )
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode != "noisy" and not self.noise.is_zero():
+        if self.mode != "noisy" and not noise.is_zero():
             raise ValueError(
                 "p1, p2, read01 and read10 apply only in noisy mode; "
                 f"{self.mode} mode would ignore them"
             )
         if self.mode == "shots" and self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if self.mode == "noisy" and self.trajectories < 1:
-            raise ValueError(f"trajectories must be >= 1, got {self.trajectories}")
+        if self.mode == "noisy" and self.traj < 1:
+            raise ValueError(f"traj must be >= 1, got {self.traj}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
-    def replace(self, **kw) -> "RunConfig":
-        state = self.to_dict()
-        state.update(kw)
-        return RunConfig.from_dict(state)
+    @property
+    def tfim(self) -> TfimParams:
+        return TfimParams(n_spins=self.n, coupling=self.j, field=self.g, dt=self.dt)
+
+    @property
+    def noise(self) -> NoiseParams:
+        return NoiseParams(p1=self.p1, p2=self.p2, read01=self.read01, read10=self.read10)
+
+    replace = dataclasses.replace
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.tfim.n_spins,
-            "j": self.tfim.coupling,
-            "g": self.tfim.field,
-            "dt": self.tfim.dt,
-            "steps": self.steps,
-            "order": self.order.value,
-            "mode": self.mode,
-            "shots": self.shots,
-            "traj": self.trajectories,
-            "p1": self.noise.p1,
-            "p2": self.noise.p2,
-            "read01": self.noise.read01,
-            "read10": self.noise.read10,
-            "periodic": self.periodic,
-            "seed": self.seed,
-            "out": self.out,
-        }
+        return {**asdict(self), "order": self.order.value}
 
-    @staticmethod
-    def from_dict(d: dict) -> "RunConfig":
+    @classmethod
+    def from_dict(cls, d: dict) -> "RunConfig":
+        """Missing keys take the field defaults; unknown keys are refused."""
         unknown = set(d) - set(CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        d = {**RunConfig().to_dict(), **d}  # missing keys take the field defaults
-        return RunConfig(
-            tfim=TfimParams(
-                n_spins=int(d["n"]),
-                coupling=float(d["j"]),
-                field=float(d["g"]),
-                dt=float(d["dt"]),
-            ),
-            steps=int(d["steps"]),
-            order=TrotterOrder(d["order"]),
-            mode=str(d["mode"]),
-            shots=int(d["shots"]),
-            trajectories=int(d["traj"]),
-            noise=NoiseParams(
-                p1=float(d["p1"]),
-                p2=float(d["p2"]),
-                read01=float(d["read01"]),
-                read10=float(d["read10"]),
-            ),
-            periodic=bool(d["periodic"]),
-            seed=int(d["seed"]),
-            out=d["out"],
-        )
+        return cls(**d)
+
+
+#: The flat config keys, in order: RunConfig's fields.
+CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
+
+
+def is_number(value) -> bool:
+    """A real number that is not a bool (JSON true/false)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _typed(f: dataclasses.Field, value):
+    """`value` as the type of config field `f`. A value that converting
+    would change, such as 3.7 for an int key or "false" for a bool key, or
+    one outside the field's choices, raises a ValueError naming the key."""
+    if value is None and f.default is None:
+        return None
+    if f.type is bool:
+        ok, what = isinstance(value, bool), "true or false"
+    elif f.type is int:
+        ok, what = is_number(value) and value % 1 == 0, "an integral number"
+    elif f.type is float:
+        ok, what = is_number(value), "a real number"
+    else:  # order, mode and out
+        ok, what = isinstance(value, str), "a string or null" if f.default is None else "a string"
+    if not ok:
+        raise ValueError(f"{f.name} must be {what}, got {value!r}")
+    choices = f.metadata["choices"]
+    if choices is not None and value not in choices:
+        raise ValueError(f"{f.name} must be one of {choices}, got {value!r}")
+    return value if f.default is None else f.type(value)
 
 
 @dataclass
@@ -164,7 +171,7 @@ class RunResult:
 def _simulate_local(config: RunConfig, circuit: Circuit) -> np.ndarray:
     """Per-step local magnetization of the config's evolution circuit in the
     configured mode, rows k = 0..steps."""
-    n = config.tfim.n_spins
+    n = config.n
     local = np.empty((config.steps + 1, n), dtype=np.float64)
 
     if config.mode == "ideal":
@@ -193,13 +200,14 @@ def _simulate_local(config: RunConfig, circuit: Circuit) -> np.ndarray:
     state = all_down_state(n)
     local[0] = z_expectations(state)
     local[1:] = noisy_execute(
-        circuit, state, config.noise, config.trajectories, config.seed
+        circuit, state, config.noise, config.traj, config.seed
     )
     return apply_readout_to_expectations(local, config.noise)
 
 
-def run_command(config: RunConfig, write: bool = True) -> RunResult:
-    """Execute one configured run against the exact reference."""
+def run_command(config: RunConfig) -> RunResult:
+    """Execute one configured run against the exact reference; write its
+    files when the config names an output directory."""
     start = time.perf_counter()
     params = config.tfim
     times = params.dt * np.arange(config.steps + 1)
@@ -216,7 +224,7 @@ def run_command(config: RunConfig, write: bool = True) -> RunResult:
         counts=gate_counts(circuit),
         wall_time=time.perf_counter() - start,
     )
-    if write and config.out is not None:
+    if config.out is not None:
         write_run(result, Path(config.out))
     return result
 
@@ -234,14 +242,7 @@ def sweep_command(base: RunConfig, g_values) -> list[RunResult]:
             write_run(result, Path(base.out) / f"g_{fmt(g)}")
         results.append(result)
     if base.out is not None:
-        _write_csv(
-            Path(base.out) / "sweep.csv",
-            ["g", "rmse_local", "rmse_total"],
-            [
-                [fmt(g), fmt(r.errors.rmse_local), fmt(r.errors.rmse_total)]
-                for g, r in zip(g_values, results)
-            ],
-        )
+        _write_csv(Path(base.out) / "sweep.csv", *sweep_table(g_values, results))
     return results
 
 
@@ -255,7 +256,7 @@ def compare_command(base: RunConfig, g_values) -> list[dict]:
     for g in g_values:
         per_order = {}
         for order in (TrotterOrder.FIRST, TrotterOrder.SYMMETRIC):
-            cfg = base.replace(g=float(g), order=order.value, out=None)
+            cfg = base.replace(g=float(g), order=order, out=None)
             per_order[order] = run_command(cfg).errors
         first = per_order[TrotterOrder.FIRST]
         sym = per_order[TrotterOrder.SYMMETRIC]
@@ -271,15 +272,7 @@ def compare_command(base: RunConfig, g_values) -> list[dict]:
             }
         )
     if base.out is not None:
-        header = [
-            "g", "rmse_local_first", "rmse_local_sym2", "ratio_local",
-            "rmse_total_first", "rmse_total_sym2", "ratio_total",
-        ]
-        _write_csv(
-            Path(base.out) / "compare.csv",
-            header,
-            [[_cell(row[h]) for h in header] for row in rows],
-        )
+        _write_csv(Path(base.out) / "compare.csv", *compare_table(rows))
     return rows
 
 
@@ -305,11 +298,7 @@ def scaling_command(base: RunConfig, dt_values) -> list[dict]:
             slope, _ = scaling_fit(dt_values, errs)
             rows.append({"order": order.value, "slope": slope, "errors": errs})
     if base.out is not None:
-        _write_csv(
-            Path(base.out) / "scaling.csv",
-            ["order", "slope"],
-            [[row["order"], _cell(row["slope"])] for row in rows],
-        )
+        _write_csv(Path(base.out) / "scaling.csv", *scaling_table(rows))
     return rows
 
 
@@ -318,12 +307,6 @@ def scaling_command(base: RunConfig, dt_values) -> list[dict]:
 def fmt(x: float) -> str:
     """12 significant digits; enough for 1e-9 tolerances, stable bytes."""
     return f"{x:.12g}"
-
-
-def _cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    return fmt(v)
 
 
 def _ratio(num: float, den: float):
@@ -342,11 +325,34 @@ def _round12(x):
     return x
 
 
+def sweep_table(g_values, results: list[RunResult]) -> tuple[list[str], list[list]]:
+    """(header, rows) of sweep.csv: the RMSEs per g."""
+    return ["g", "rmse_local", "rmse_total"], [
+        [g, r.errors.rmse_local, r.errors.rmse_total] for g, r in zip(g_values, results)
+    ]
+
+
+def compare_table(rows: list[dict]) -> tuple[list[str], list[list]]:
+    """(header, rows) of compare.csv: the keys and values of `compare_command`'s rows."""
+    return list(rows[0]), [list(row.values()) for row in rows]
+
+
+def scaling_table(rows: list[dict]) -> tuple[list[str], list[list]]:
+    """(header, rows) of scaling.csv: the fitted slope per order."""
+    return ["order", "slope"], [[row["order"], row["slope"]] for row in rows]
+
+
+def csv_text(header: list[str], rows) -> str:
+    """The bytes of every CSV table, written or printed: numbers with 12
+    significant digits, strings as they are."""
+    lines = [",".join(header)]
+    lines.extend(",".join([v if isinstance(v, str) else fmt(v) for v in row]) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(csv_text(header, rows))
 
 
 def write_run(result: RunResult, out_dir: Path) -> None:
@@ -358,21 +364,14 @@ def write_run(result: RunResult, out_dir: Path) -> None:
     for k, t in enumerate(sim.times):
         for j in range(sim.n_sites):
             rows.append(
-                [
-                    fmt(t),
-                    str(j),
-                    fmt(sim.local[k, j]),
-                    fmt(exact.local[k, j]),
-                    fmt(sim.local[k, j] - exact.local[k, j]),
-                ]
+                [t, j, sim.local[k, j], exact.local[k, j], sim.local[k, j] - exact.local[k, j]]
             )
     _write_csv(out_dir / "series.csv", ["t", "site", "m_sim", "m_exact", "dm"], rows)
     _write_csv(
         out_dir / "totals.csv",
         ["t", "m_total_sim", "m_total_exact", "dm_total"],
         [
-            [fmt(t), fmt(sim.total[k]), fmt(exact.total[k]),
-             fmt(sim.total[k] - exact.total[k])]
+            [t, sim.total[k], exact.total[k], sim.total[k] - exact.total[k]]
             for k, t in enumerate(sim.times)
         ],
     )

@@ -52,7 +52,7 @@ def test_criterion_2_negligible_error_regime():
     rmses = {}
     for order in ("first", "sym2"):
         cfg = RunConfig().replace(g=1.0, order=order)
-        rmses[order] = run_command(cfg, write=False).errors.rmse_local
+        rmses[order] = run_command(cfg).errors.rmse_local
     ok = all(v <= 0.05 for v in rmses.values())
     report(2, "negligible error at g=1", ok,
            f"rmse_first={rmses['first']:.4f}, rmse_sym2={rmses['sym2']:.4f} "
@@ -64,7 +64,7 @@ def test_criterion_3_commuting_limit():
     for order in ("first", "sym2"):
         for dt in (0.2, 0.5):
             cfg = RunConfig().replace(g=0.0, order=order, dt=dt)
-            worst = max(worst, run_command(cfg, write=False).errors.rmse_local)
+            worst = max(worst, run_command(cfg).errors.rmse_local)
     ok = worst <= 1e-9
     report(3, "zero-field commuting limit", ok, f"max rmse={worst:.2e} (bound 1e-9)")
 
@@ -86,7 +86,7 @@ def test_criterion_5_order_inversion():
         per_order = {}
         for order in ("first", "sym2"):
             cfg = RunConfig().replace(g=g, order=order)
-            per_order[order] = run_command(cfg, write=False).errors.rmse_local
+            per_order[order] = run_command(cfg).errors.rmse_local
         ratios[g] = per_order["sym2"] / per_order["first"]
     ok = all(r > 1.0 for r in ratios.values())
     report(5, "symmetric RMSE exceeds first order", ok,
@@ -127,13 +127,12 @@ def test_criterion_7_noise_dominance():
         means = {}
         for order in ("first", "sym2"):
             ideal = run_command(
-                RunConfig().replace(g=g, order=order), write=False
+                RunConfig().replace(g=g, order=order)
             ).errors.rmse_local
             vals = [
                 run_command(
                     RunConfig().replace(g=g, order=order, mode="noisy",
                                         traj=trajectories, seed=s, **noise),
-                    write=False,
                 ).errors.rmse_local
                 for s in seeds
             ]

@@ -158,7 +158,7 @@ class TestChannelProperties:
             vals = []
             for seed in range(20):
                 cfg = RunConfig().replace(mode="noisy", traj=128, seed=seed, p2=p2)
-                vals.append(run_command(cfg, write=False).errors.rmse_local)
+                vals.append(run_command(cfg).errors.rmse_local)
             means.append(float(np.mean(vals)))
         assert all(b >= a for a, b in zip(means, means[1:]))
 

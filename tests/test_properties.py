@@ -1,0 +1,105 @@
+"""Property tests: the run config survives the config-file path, and the
+ideal Trotter series keeps the chain's symmetries and the g=0 limit.
+
+Examples are derandomized with a fixed count, so every run checks the same
+cases and the suite stays deterministic.
+"""
+
+import json
+import string
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trotterbench import RunConfig, run_command
+from trotterbench.cli import build_parser, merge_config
+from trotterbench.runner import MODES
+from trotterbench.trotter import TrotterOrder
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+rate = st.floats(min_value=0.0, max_value=1.0)
+orders = st.sampled_from([o.value for o in TrotterOrder])
+# an explicit alphabet needs no Unicode table, which hypothesis would build
+# on first use (seconds) and cache on disk
+paths = st.text(alphabet=string.printable + "é€")
+
+
+@st.composite
+def valid_configs(draw):
+    """Configs the CLI accepts from a file: shots only in shots mode, traj
+    and nonzero noise rates only in noisy mode."""
+    mode = draw(st.sampled_from(MODES))
+    values = {
+        "n": draw(st.integers(2, 12)),
+        "j": draw(finite.filter(lambda v: v != 0)),
+        "g": draw(finite),
+        "dt": draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+        "steps": draw(st.integers(1, 10**6)),
+        "order": draw(orders),
+        "mode": mode,
+        "periodic": draw(st.booleans()),
+        "seed": draw(st.integers(0, 2**63)),
+        "out": draw(st.none() | paths),
+    }
+    if mode == "shots":
+        values["shots"] = draw(st.integers(1, 10**9))
+    if mode == "noisy":
+        values["traj"] = draw(st.integers(1, 10**6))
+        for key in ("p1", "p2", "read01", "read10"):
+            values[key] = draw(rate)
+    return RunConfig(**values)
+
+
+@PROPERTY
+@given(cfg=valid_configs())
+def test_config_survives_a_config_file(cfg, tmp_path_factory):
+    d = cfg.to_dict()
+    if cfg.mode != "shots":
+        del d["shots"]
+    if cfg.mode != "noisy":
+        del d["traj"]
+    path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    path.write_text(json.dumps(d))
+    merged, extras = merge_config(build_parser().parse_args(["run", "--config", str(path)]))
+    assert merged == cfg
+    assert extras == {}
+
+
+def ideal_series(n, j, g, dt, steps, order, periodic):
+    cfg = RunConfig(n=n, j=j, g=g, dt=dt, steps=steps, order=order, periodic=periodic)
+    return run_command(cfg).sim.local
+
+
+chains = {
+    "j": st.floats(0.2, 2.0) | st.floats(-2.0, -0.2),
+    "g": st.floats(-3.0, 3.0),
+    "dt": st.floats(0.01, 0.5),
+    "steps": st.integers(1, 8),
+    "order": orders,
+}
+
+
+@PROPERTY
+@given(n=st.integers(2, 8), **chains)
+def test_open_chain_mirror_symmetry(n, j, g, dt, steps, order):
+    local = ideal_series(n, j, g, dt, steps, order, periodic=False)
+    np.testing.assert_allclose(local, local[:, ::-1], rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(n=st.integers(3, 8), **chains)
+def test_periodic_sites_are_uniform(n, j, g, dt, steps, order):
+    local = ideal_series(n, j, g, dt, steps, order, periodic=True)
+    np.testing.assert_allclose(local, local[:, :1].repeat(n, axis=1), rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(n=st.integers(2, 8), periodic=st.booleans(), j=chains["j"], dt=chains["dt"],
+       steps=chains["steps"])
+def test_zero_field_keeps_every_spin_down(n, j, dt, steps, periodic):
+    for order in TrotterOrder:
+        local = ideal_series(n, j, 0.0, dt, steps, order.value, periodic)
+        np.testing.assert_allclose(local, -1.0, rtol=0, atol=1e-12)

@@ -1,11 +1,14 @@
 """Run orchestration, file output determinism, and the CLI contract."""
 
+import dataclasses
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from trotterbench import (
+    DEVICE_LIKE,
     NoiseParams,
     RunConfig,
     active_backend,
@@ -16,7 +19,8 @@ from trotterbench import (
     scaling_command,
     sweep_command,
 )
-from trotterbench.cli import main
+from trotterbench.cli import build_parser, main
+from trotterbench.trotter import TrotterOrder
 
 
 class TestRunConfig:
@@ -48,6 +52,21 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="12"):
             RunConfig().replace(n=13)
 
+    def test_values_are_converted_to_the_field_types(self):
+        cfg = RunConfig(n=4.0, g=2, order="sym2")
+        assert type(cfg.n) is int and cfg.n == 4
+        assert type(cfg.g) is float and cfg.g == 2.0
+        assert cfg.order is TrotterOrder.SYMMETRIC
+        assert cfg.to_dict()["order"] == "sym2"
+
+    @pytest.mark.parametrize("key, value", [
+        ("periodic", "false"), ("periodic", 1), ("n", 3.7), ("n", True),
+        ("seed", None), ("g", True), ("g", "2"), ("order", 2), ("out", 5),
+    ])
+    def test_refuses_a_value_the_conversion_would_change(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            RunConfig(**{key: value})
+
     def test_missing_keys_take_the_field_defaults(self):
         assert RunConfig.from_dict({}) == RunConfig()
         assert RunConfig.from_dict({"g": 2}) == RunConfig().replace(g=2.0)
@@ -63,16 +82,16 @@ class TestRunConfig:
 
 class TestRunCommand:
     def test_ideal_low_field_small_error(self):
-        result = run_command(RunConfig(), write=False)
+        result = run_command(RunConfig())
         assert result.errors.rmse_local <= 0.05
 
     def test_zero_field_commuting_limit(self):
         for order in ("first", "sym2"):
             cfg = RunConfig().replace(g=0.0, order=order)
-            assert run_command(cfg, write=False).errors.rmse_local <= 1e-9
+            assert run_command(cfg).errors.rmse_local <= 1e-9
 
     def test_series_grids_match_and_start_at_zero(self):
-        result = run_command(RunConfig(), write=False)
+        result = run_command(RunConfig())
         assert result.sim.times[0] == 0.0
         assert result.sim.times.shape == (21,)
         np.testing.assert_allclose(result.sim.times, result.exact.times)
@@ -80,19 +99,19 @@ class TestRunCommand:
 
     def test_shots_mode_estimates_track_exact(self):
         cfg = RunConfig().replace(mode="shots", seed=3)
-        result = run_command(cfg, write=False)
+        result = run_command(cfg)
         # 1024-shot noise on top of a small Trotter error stays modest
         assert result.errors.rmse_local <= 0.08
 
     def test_noisy_zero_noise_matches_ideal_exactly(self):
-        ideal = run_command(RunConfig(), write=False)
+        ideal = run_command(RunConfig())
         cfg = RunConfig().replace(mode="noisy", traj=1, p1=0.0, p2=0.0,
                                   read01=0.0, read10=0.0)
-        noisy = run_command(cfg, write=False)
+        noisy = run_command(cfg)
         np.testing.assert_array_equal(noisy.sim.local, ideal.sim.local)
 
     def test_gate_counts_echoed(self):
-        result = run_command(RunConfig(), write=False)
+        result = run_command(RunConfig())
         assert result.counts["total"] == {"RX": 100, "RZ": 80, "CNOT": 160}
 
     def test_circuit_built_once_per_run(self, monkeypatch):
@@ -105,7 +124,7 @@ class TestRunCommand:
 
         monkeypatch.setattr(runner, "build_evolution_circuit", counting)
         for mode in ("ideal", "shots", "noisy"):
-            run_command(RunConfig().replace(n=3, steps=4, mode=mode, traj=4), write=False)
+            run_command(RunConfig().replace(n=3, steps=4, mode=mode, traj=4))
         assert len(builds) == 3
 
 
@@ -188,7 +207,7 @@ class TestSweepCompareScaling:
     def test_singleton_sweep_equals_run(self):
         base = RunConfig().replace(g=2.0)
         swept = sweep_command(base, [2.0])[0]
-        single = run_command(base, write=False)
+        single = run_command(base)
         assert swept.errors.rmse_local == single.errors.rmse_local
 
     def test_empty_g_list(self):
@@ -298,6 +317,71 @@ class TestCli:
         assert main([*argv, "--out", str(out)]) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, file_values, key", [
+        (["run"], {"periodic": "false"}, "periodic"),
+        (["run"], {"n": 3.7}, "n"),
+        (["run"], {"steps": 2.9}, "steps"),
+        (["run"], {"seed": None}, "seed"),
+        (["run"], {"g": [1, 2]}, "g"),
+        (["run"], {"j": True}, "j"),
+        (["run", "--mode", "noisy"], {"p1": "0.1"}, "p1"),
+        (["run", "--mode", "shots"], {"shots": 64.5}, "shots"),
+        (["sweep"], {"g_list": 5}, "g_list"),
+        (["compare"], {"g_list": [1, True]}, "g_list"),
+        (["scaling"], {"dt_list": [0.05, "0.1", 0.2]}, "dt_list"),
+    ])
+    def test_config_value_of_another_type_exit_2_before_any_work(
+        self, argv, file_values, key, tmp_path, monkeypatch, capsys
+    ):
+        def simulate(*args):
+            raise AssertionError("simulated before refusing a mistyped value")
+
+        monkeypatch.setattr(runner, "_simulate_local", simulate)
+        monkeypatch.setattr(runner, "chain_spectrum", simulate)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(file_values))
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, table", [
+        (["sweep", "--g-list", "1,2", "--steps", "3", "--mode", "shots"], "sweep.csv"),
+        (["compare", "--g-list", "0,1", "--steps", "3"], "compare.csv"),
+        (["scaling", "--g", "0", "--dt-list", "0.05,0.1,0.2"], "scaling.csv"),
+        (["scaling", "--g", "2", "--dt-list", "0.05,0.1,0.2"], "scaling.csv"),
+    ])
+    def test_stdout_is_the_written_table(self, argv, table, tmp_path, capsys):
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.encode() == (tmp_path / table).read_bytes()
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "compare", "scaling"])
+    def test_every_config_key_is_a_flag_with_its_default(self, command, capsys):
+        texts = {bool: None, int: "7", float: "0.5", str: "x"}
+        choices = {f.name: f.metadata["choices"] for f in fields(RunConfig)}
+        device = dataclasses.asdict(DEVICE_LIKE)
+        for f in fields(RunConfig):
+            kind = str if f.default is None or choices[f.name] else f.type
+            text = choices[f.name][-1] if choices[f.name] else texts[kind]
+            argv = [command, f"--{f.name}"] + ([text] if text is not None else [])
+            value = getattr(build_parser().parse_args(argv), f.name)
+            assert type(value) is kind, f.name
+            assert value == (True if kind is bool else kind(text)), f.name
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        defaults = RunConfig().to_dict()
+        for f in fields(RunConfig):
+            default = defaults[f.name]
+            if f.name in device:
+                note = f" (noisy mode default: device-like {device[f.name]})"
+            elif default is None:
+                note = ""
+            else:
+                note = f" (default {runner.fmt(default) if type(default) is float else default})"
+            assert f"{f.metadata['help']}{note}" in help_text, f.name
+        assert "(default 0.0)" not in help_text
 
     def test_sweep_requires_g_list(self, capsys):
         code = main(["sweep"])
