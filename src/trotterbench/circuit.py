@@ -167,8 +167,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the whole circuit (earlier gates act first).
 
     Verification path only: runs the circuit on all 2^n basis states at once
-    as a batch, so row k ends as U|k>; the result is the transpose of that
-    batch (a view).
+    as a (2^n, 2^n) batch, so column k ends as U|k> and the batch is U.
     """
     n = circuit.n_qubits
     if n > MAX_DENSE_SPINS:
@@ -176,4 +175,4 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     states = np.eye(1 << n, dtype=np.complex128)
     kinds, qa, qb, theta, _ = encode(circuit)
     kernels.run_gates(states, n, kinds, qa, qb, theta)
-    return states.T
+    return states

@@ -6,7 +6,8 @@ noise probabilities default to the device-like calibration unless set. A
 value the mode or command would ignore is refused with exit 2 before any
 work: shots outside shots mode, traj or nonzero noise rates outside noisy
 mode, g in sweep and compare (which take --g-list), order in compare (which
-runs both), and anything in scaling but n, j, g, periodic and out.
+runs both), anything in scaling but n, j, g, periodic and out, and a config
+file key that is neither a config key nor the command's own list key.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ _MODE_KEYS = {"shots": "shots", "traj": "noisy"}
 
 #: The noise rates' defaults in noisy mode: the device-like calibration.
 _NOISY_DEFAULTS = dataclasses.asdict(DEVICE_LIKE)
+
+#: The value list a command reads besides the config keys.
+_LIST_KEYS = {"sweep": "g_list", "compare": "g_list", "scaling": "dt_list"}
 
 #: Config keys a command never reads.
 _UNREAD_KEYS = {
@@ -107,6 +111,9 @@ def merge_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
             file_values = json.load(fh)
         if not isinstance(file_values, dict):
             raise ValueError("config file must hold a JSON object")
+    unknown = set(file_values) - {*CONFIG_KEYS, _LIST_KEYS.get(args.command)}
+    if unknown:
+        raise ValueError(f"{args.command} reads no config keys {sorted(unknown)}")
     merged = {k: file_values[k] for k in CONFIG_KEYS if k in file_values}
     for key in CONFIG_KEYS:
         flag = getattr(args, key, None)
@@ -127,8 +134,11 @@ def merge_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
     return RunConfig.from_dict(merged), extras
 
 
-def _value_list(args, extras: dict, key: str, flag: str) -> list[float]:
-    """The flag's list, else the config file's: a string or a list of numbers."""
+def _value_list(args, extras: dict) -> list[float]:
+    """The command's list (`_LIST_KEYS`) from its flag, else from the config
+    file: a string or a list of numbers."""
+    key = _LIST_KEYS[args.command]
+    flag = "--" + key.replace("_", "-")
     raw = getattr(args, key, None)
     if raw is None:
         raw = extras.get(key)
@@ -153,15 +163,15 @@ def main(argv=None) -> int:
                   f"gates={result.counts['n_gates']} "
                   f"wall_time={result.wall_time:.3f}s")
         elif args.command == "sweep":
-            g_values = _value_list(args, extras, "g_list", "--g-list")
+            g_values = _value_list(args, extras)
             results = sweep_command(config, g_values)
             print(csv_text(*sweep_table(g_values, results)), end="")
         elif args.command == "compare":
-            g_values = _value_list(args, extras, "g_list", "--g-list")
+            g_values = _value_list(args, extras)
             rows = compare_command(config, g_values)
             print(csv_text(*compare_table(rows)), end="")
         elif args.command == "scaling":
-            dt_values = _value_list(args, extras, "dt_list", "--dt-list")
+            dt_values = _value_list(args, extras)
             rows = scaling_command(config, dt_values)
             print(csv_text(*scaling_table(rows)), end="")
     except (ValueError, json.JSONDecodeError, FileNotFoundError) as e:

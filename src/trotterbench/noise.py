@@ -43,7 +43,7 @@ class NoiseParams:
 DEVICE_LIKE = NoiseParams(p1=0.002, p2=0.02, read01=0.02, read10=0.02)
 
 
-#: Trajectories simulated together as one (block, 2^n) batch; memory is
+#: Trajectories simulated together as one (2^n, block) batch; memory is
 #: bounded by this many states whatever the trajectory count.
 TRAJECTORY_BLOCK = 256
 
@@ -60,7 +60,11 @@ def noisy_execute(
     Each trajectory replays the circuit with independently drawn faults and
     records exact expectations at the step marks; the return value has shape
     (n_steps, n_qubits). Trajectory t draws from a stream seeded by
-    (rng_seed, t), so results do not depend on how trajectories are batched.
+    (rng_seed, t), so its faults and amplitudes do not depend on how
+    trajectories are batched. Its <Z> readout may differ in the last bit
+    with the size of its block, because BLAS picks its kernel by matrix
+    size: a block of one trajectory reads <Z> through another path than a
+    block of 256 at every n, and at n = 10 so do blocks of 2 and 44.
     Trajectories run in blocks of TRAJECTORY_BLOCK and are summed in order.
     """
     if trajectories < 1:
@@ -79,7 +83,7 @@ def noisy_execute(
     for first in range(0, trajectories, TRAJECTORY_BLOCK):
         block = range(first, min(first + TRAJECTORY_BLOCK, trajectories))
         faults = _fault_codes(kinds, noise, rng_seed, block)
-        amps = np.repeat(initial.amps[None, :], len(block), axis=0)
+        amps = np.repeat(initial.amps[:, None], len(block), axis=1)
         out = np.empty((len(block), len(marks), n), dtype=np.float64)
         kernels.run_gates_noisy(amps, n, kinds, qa, qb, theta, marks, faults, out)
         for row in out:  # one trajectory after another, as a running sum

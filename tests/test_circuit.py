@@ -16,6 +16,7 @@ from trotterbench import (
     rz,
     symmetric_step,
 )
+from trotterbench import kernels
 from trotterbench.statevector import StateVector
 
 from oracles import naive_circuit_unitary
@@ -100,6 +101,29 @@ class TestCircuitUnitary:
             parity = ((b & 1) ^ ((b >> 1) & 1))
             phases.append(np.exp(-0.5j * theta * (1 - 2 * parity)))
         np.testing.assert_allclose(circuit_unitary(circ), np.diag(phases), atol=1e-12)
+
+    @pytest.mark.parametrize("gates, fused", [
+        ([cnot(0, 1), rz(1, 0.7), cnot(0, 1)], 1),
+        ([cnot(2, 0), rz(0, 0.7), cnot(2, 0)], 1),  # a wrap bond: control above target
+        ([cnot(0, 1), rz(0, 0.7), cnot(0, 1)], 0),  # RZ on the control
+        ([cnot(0, 1), rz(1, 0.7), cnot(1, 0)], 0),  # second CNOT reversed
+        ([cnot(0, 1), rz(1, 0.7), cnot(2, 1)], 0),  # second CNOT from another control
+    ])
+    def test_only_cnot_rz_cnot_on_one_pair_is_fused(self, gates, fused, monkeypatch):
+        # a broken pattern runs gate by gate; every case equals the dense product
+        calls = []
+        phase, gate = kernels._zz_phase, kernels._gate
+        monkeypatch.setattr(kernels, "_zz_phase", lambda *a: calls.append("phase") or phase(*a))
+        monkeypatch.setattr(kernels, "_gate", lambda *a: calls.append("gate") or gate(*a))
+        circ = Circuit(3)
+        circ.append(rx(0, 0.3)).append(rx(1, -1.1)).append(rx(2, 0.4))
+        for g in gates:
+            circ.append(g)
+        np.testing.assert_allclose(
+            circuit_unitary(circ), naive_circuit_unitary(circ), rtol=0, atol=1e-12
+        )
+        assert calls.count("phase") == fused
+        assert calls.count("gate") == 3 + 3 * (1 - fused)
 
     def test_dense_bound(self):
         with pytest.raises(ValueError):

@@ -43,6 +43,10 @@ stayed byte-identical, as did every periodic output:
 
 - compare compare.csv 2e29885e...454996f -> a9ab09f1...2bc78c2, ratio_total
   at g=1: 2.11420625786 -> 2.11420625787, the hash of the first recording.
+
+The heavily faulted noisy run and the periodic scaling run were recorded
+with the gate-by-gate engine, before each ZZ bond became one diagonal phase
+and the trajectories moved to the last axis.
 """
 
 import hashlib
@@ -82,6 +86,20 @@ class TestGoldenOutputs:
         "compare": (
             ["compare", "--n", "3", "--steps", "4", "--g-list", "1,2"],
             {"compare.csv": "a9ab09f159b046149b7329d5b186371bc799c31cd42623d0b21b438ea2bc78c2"},
+        ),
+        # faults at these rates hit every slot of each CNOT-RZ-CNOT triple,
+        # the wrap bond's included
+        "noisy_heavy": (
+            ["run", "--n", "4", "--periodic", "--order", "sym2", "--steps", "3",
+             "--mode", "noisy", "--traj", "64", "--p1", "0.3", "--p2", "0.5",
+             "--seed", "11"],
+            {"series.csv": "d91b1027df5b50b00f2534d9cdc3bb5ce47308b78ff54b85331fe791c24ecea3",
+             "totals.csv": "b8eaf425baf48c4af077776cc6788e6a2553d848f420ba76e621a78b47d3af85"},
+        ),
+        # the dense step unitaries of circuit_unitary, wrap bond included
+        "scaling": (
+            ["scaling", "--n", "4", "--g", "2", "--periodic", "--dt-list", "0.05,0.1,0.2"],
+            {"scaling.csv": "765ee925b74eef9da615b571c26436937100bf564268ae7b907c13a4cc7d9484"},
         ),
     }
 

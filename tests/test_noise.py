@@ -14,8 +14,8 @@ from trotterbench import (
     noisy_execute,
     run_command,
 )
-from trotterbench.circuit import Circuit, cnot, encode, rx
-from trotterbench.kernels import run_gates_record
+from trotterbench.circuit import Circuit, cnot, encode, rx, rz
+from trotterbench.kernels import run_gates_noisy, run_gates_record
 from trotterbench.noise import TRAJECTORY_BLOCK, apply_readout_to_expectations
 
 from oracles import PAULIS, gate_full_matrix, kron_at, two_qubit_pauli
@@ -129,6 +129,44 @@ class TestNoisyExecute:
             total += np.array(rows)
         got = noisy_execute(circ, all_down_state(n), noise, trajectories, seed)
         np.testing.assert_allclose(got, total / trajectories, rtol=0, atol=1e-12)
+
+    def test_each_fault_slot_matches_dense_replay_amplitudes(self):
+        # one column per (gate, Pauli) with that single fault, then columns
+        # with random faults on every gate; the final amplitudes, phases
+        # included, must equal dense replay, so a fault inside a fused
+        # CNOT-RZ-CNOT conjugated or placed wrongly shows here
+        n = 3
+        circ = Circuit(n)
+        for q, theta in enumerate((0.3, -1.1, 0.4)):
+            circ.append(rx(q, theta))
+        for a, b, theta in ((0, 1, 0.7), (2, 0, -0.5)):  # (2, 0): a wrap bond
+            circ.append(cnot(a, b)).append(rz(b, theta)).append(cnot(a, b))
+        circ.append(rx(1, 0.9)).mark_step()
+        kinds, qa, qb, theta, marks = encode(circ)
+        columns = [
+            [code if j == i else 0 for j in range(len(circ))]
+            for i, g in enumerate(circ.gates)
+            for code in (range(1, 16) if g.name == "CNOT" else (4, 8, 12))
+        ]
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            columns.append([int(rng.integers(1, 16)) if g.name == "CNOT"
+                            else 4 * int(rng.integers(0, 4)) for g in circ.gates])
+        faults = np.array(columns, dtype=np.int8).T
+        psi0 = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        psi0 /= np.linalg.norm(psi0)
+        amps = np.repeat(psi0[:, None], len(columns), axis=1)
+        out = np.empty((len(columns), 1, n))
+        run_gates_noisy(amps, n, kinds, qa, qb, theta, marks, faults, out)
+        for col, codes in enumerate(columns):
+            psi = psi0
+            for g, code in zip(circ.gates, codes):
+                psi = gate_full_matrix(g, n) @ psi
+                if g.name == "CNOT":
+                    psi = two_qubit_pauli(code >> 2, code & 3, g.q0, g.q1, n) @ psi
+                else:
+                    psi = kron_at(PAULIS[code >> 2], g.q0, n) @ psi
+            np.testing.assert_allclose(amps[:, col], psi, rtol=0, atol=1e-13)
 
     def test_invalid_trajectories(self):
         circ = Circuit(2)

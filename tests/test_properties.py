@@ -1,5 +1,7 @@
-"""Property tests: the run config survives the config-file path, and the
-ideal Trotter series keeps the chain's symmetries and the g=0 limit.
+"""Property tests: the run config survives the config-file path, the ideal
+Trotter series keeps the chain's symmetries and the g=0 limit, and every
+step circuit's dense unitary is unitary and equals the product of its
+Kronecker-built gate matrices.
 
 Examples are derandomized with a fixed count, so every run checks the same
 cases and the suite stays deterministic.
@@ -12,10 +14,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trotterbench import RunConfig, run_command
+from trotterbench import (
+    RunConfig,
+    TfimParams,
+    circuit_unitary,
+    first_order_step,
+    run_command,
+    symmetric_step,
+)
 from trotterbench.cli import build_parser, merge_config
 from trotterbench.runner import MODES
 from trotterbench.trotter import TrotterOrder
+
+from oracles import naive_circuit_unitary
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 
@@ -103,3 +114,14 @@ def test_zero_field_keeps_every_spin_down(n, j, dt, steps, periodic):
     for order in TrotterOrder:
         local = ideal_series(n, j, 0.0, dt, steps, order.value, periodic)
         np.testing.assert_allclose(local, -1.0, rtol=0, atol=1e-12)
+
+
+@PROPERTY
+@given(n=st.integers(2, 5), periodic=st.booleans(), **{k: chains[k] for k in ("j", "g", "dt")})
+def test_step_unitary_is_the_dense_gate_product(n, periodic, j, g, dt):
+    params = TfimParams(n, j, g, dt)
+    for step in (first_order_step, symmetric_step):
+        circ = step(params, periodic)
+        u = circuit_unitary(circ)
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(1 << n), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(u, naive_circuit_unitary(circ), rtol=0, atol=1e-12)

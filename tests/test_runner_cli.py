@@ -300,6 +300,14 @@ class TestCli:
         (["scaling", "--dt-list", "0.05,0.1,0.2"], {"read01": 0.1}, "read01"),
         (["scaling", "--dt-list", "0.05,0.1,0.2", "--read10", "0.1"], None, "read10"),
         (["scaling", "--dt-list", "0.05,0.1,0.2"], {"seed": 4}, "seed"),
+        # config-file keys the command never reads
+        (["run"], {"g_list": [1, 2], "bannana": 3}, "bannana"),
+        (["run"], {"g_list": [1, 2], "steps": 2}, "g_list"),
+        (["run"], {"dt_list": [0.1, 0.2, 0.3]}, "dt_list"),
+        (["sweep", "--g-list", "1"], {"dt_list": [0.1, 0.2, 0.3]}, "dt_list"),
+        (["compare"], {"g_list": [1], "G": 2}, "G"),
+        (["scaling"], {"dt_list": [0.1, 0.2, 0.3], "g_list": [1]}, "g_list"),
+        (["scaling", "--dt-list", "0.05,0.1,0.2"], {"config": "other.json"}, "config"),
     ])
     def test_value_the_mode_ignores_exit_2_before_any_work(
         self, argv, file_values, key, tmp_path, monkeypatch, capsys

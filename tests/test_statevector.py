@@ -18,6 +18,7 @@ from trotterbench import (
     rz,
     sample_bitstrings,
 )
+from trotterbench import kernels
 from trotterbench.kernels import z_signs
 from trotterbench.circuit import Circuit
 from trotterbench.exact import build_hamiltonian, spectrum
@@ -156,6 +157,17 @@ class TestExpectationZ:
         via_one = [sum(p * (1 - 2 * ((i >> j) & 1)) for i, p in enumerate(probs))
                    for j in range(5)]
         np.testing.assert_allclose(via_all, via_one, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_batch_readout_rounds_as_one_row_per_state(self, n):
+        # a (2^n, B) batch must read <Z> as the product of the row-major
+        # (B, 2^n) probabilities, bit for bit; OpenBLAS rounds the product
+        # of a transposed operand differently at these sizes
+        rng = np.random.default_rng(n)
+        amps = rng.standard_normal((2**n, 8)) + 1j * rng.standard_normal((2**n, 8))
+        rows = np.ascontiguousarray(amps.T)
+        expected = (rows.real * rows.real + rows.imag * rows.imag) @ z_signs(n)
+        np.testing.assert_array_equal(kernels.z_expectations(amps, n), expected)
 
 
 class TestSampling:
