@@ -1,5 +1,6 @@
 """Trotterized transverse-field Ising dynamics on a dense statevector
-simulator, benchmarked against an exact spectral propagator."""
+simulator, benchmarked against exact evolution: free fermions on the open
+chain, dense spin-flip sectors on the periodic chain."""
 
 __version__ = "0.1.0"
 

@@ -21,8 +21,9 @@ KIND_CNOT = 2
 
 _KIND_NAMES = {KIND_RX: "RX", KIND_RZ: "RZ", KIND_CNOT: "CNOT"}
 
-#: Widest chain of every dense 2^n x 2^n path: the circuit unitary here, the
-#: exact reference's Hamiltonian and, through it, every run.
+#: Widest chain of every dense path: the 2^n x 2^n circuit unitary here and
+#: the Hamiltonian and sector blocks of `exact`. `RunConfig` applies it to
+#: every run.
 MAX_DENSE_SPINS = 12
 
 

@@ -107,8 +107,13 @@ def merge_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
     """defaults < config file < explicit flags; returns (config, file extras)."""
     file_values: dict = {}
     if args.config:
-        with open(args.config) as fh:
-            file_values = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                file_values = json.load(fh)
+        except OSError as e:
+            raise ValueError(f"cannot read config file {args.config}: {e.strerror}") from None
+        except ValueError as e:  # not UTF-8 text, or not JSON
+            raise ValueError(f"config file {args.config}: {e}") from None
         if not isinstance(file_values, dict):
             raise ValueError("config file must hold a JSON object")
     unknown = set(file_values) - {*CONFIG_KEYS, _LIST_KEYS.get(args.command)}
@@ -174,7 +179,7 @@ def main(argv=None) -> int:
             dt_values = _value_list(args, extras)
             rows = scaling_command(config, dt_values)
             print(csv_text(*scaling_table(rows)), end="")
-    except (ValueError, json.JSONDecodeError, FileNotFoundError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - runtime failures exit 1 by contract

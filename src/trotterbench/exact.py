@@ -33,12 +33,19 @@ class Spectrum:
         v = self.eigenvectors
         return (v * np.exp(-1j * self.eigenvalues * t)) @ v.conj().T
 
-    def evolve(self, psi0: np.ndarray, t: float) -> np.ndarray:
-        """exp(-i H t) psi0. Nothing in the package calls it; the benchmark's
-        tracer (perfbench/tracing.py) wraps it by name, so it stays while
-        that tracer does."""
+    def evolve(self, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """exp(-i H t) psi0 for every t of `times`, shape (dim, times). A real
+        V (every spectrum of a real H) takes real matrix products only."""
         v = self.eigenvectors
-        return v @ (np.exp(-1j * self.eigenvalues * t) * (v.conj().T @ psi0))
+        phases = np.exp(-1j * np.outer(self.eigenvalues, times))
+        if np.iscomplexobj(v):
+            return v @ ((v.conj().T @ psi0)[:, None] * phases)
+        c = v.T @ psi0.real + 1j * (v.T @ psi0.imag)
+        coeffs = c[:, None] * phases
+        psi = np.empty(coeffs.shape, dtype=np.complex128)
+        psi.real = v @ coeffs.real
+        psi.imag = v @ coeffs.imag
+        return psi
 
 
 def _check_dense(n: int) -> None:
@@ -48,11 +55,9 @@ def _check_dense(n: int) -> None:
 
 def _ising_diagonal(params: TfimParams, periodic: bool, dim: int) -> np.ndarray:
     """-J sum_bonds z_a z_b on the basis states 0..dim-1."""
-    n = params.n_spins
-    bits = (np.arange(dim)[:, None] >> np.arange(n)[None, :]) & 1  # (dim, n)
-    z = 1.0 - 2.0 * bits
+    z = z_signs(params.n_spins)[:dim]
     diag = np.zeros(dim, dtype=np.float64)
-    for a, b in chain_bonds(n, periodic):
+    for a, b in chain_bonds(params.n_spins, periodic):
         diag -= params.coupling * z[:, a] * z[:, b]
     return diag
 
@@ -263,19 +268,10 @@ def sector_series(params: TfimParams, times: np.ndarray, periodic: bool = False)
     psi0 = all_down_state(params.n_spins).amps
     half = psi0.shape[0] // 2
     flipped = psi0[:half - 1:-1]  # amplitude of rbar = 2^n - 1 - r at r
-    even = _sector_amplitudes(spec.even, (psi0[:half] + flipped) / np.sqrt(2), times)
-    odd = _sector_amplitudes(spec.odd, (psi0[:half] - flipped) / np.sqrt(2), times)
+    even = spec.even.evolve((psi0[:half] + flipped) / np.sqrt(2), times)
+    odd = spec.odd.evolve((psi0[:half] - flipped) / np.sqrt(2), times)
     # psi(r) = (even + odd)/sqrt(2) and psi(rbar) = (even - odd)/sqrt(2), and
     # Z_j flips sign between r and rbar, so
     # <Z_j> = sum_r (p(r) - p(rbar)) s_j(r) with p(r) - p(rbar) = 2 Re(even odd*)
-    diff = 2.0 * (even[0] * odd[0] + even[1] * odd[1])  # (2^(n-1), times)
+    diff = 2.0 * (even.real * odd.real + even.imag * odd.imag)  # (2^(n-1), times)
     return diff.T @ z_signs(params.n_spins)[:half]
-
-
-def _sector_amplitudes(spec: Spectrum, phi0: np.ndarray, times: np.ndarray):
-    """Real and imaginary parts of V exp(-i E t) V^T phi0 for every t,
-    each of shape (sector size, times): real V, so real products only."""
-    v = spec.eigenvectors
-    c = v.T @ phi0.real + 1j * (v.T @ phi0.imag)
-    coeffs = c[:, None] * np.exp(-1j * np.outer(spec.eigenvalues, times))
-    return v @ coeffs.real, v @ coeffs.imag

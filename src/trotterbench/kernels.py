@@ -140,11 +140,14 @@ def _is_zz(kinds, qa, qb, i, stop):
             and qa[i + 2] == qa[i] and qb[i + 2] == qb[i])
 
 
+@functools.lru_cache(maxsize=16)
 def z_signs(n_qubits):
-    """(2^n, n) matrix of +1 where bit j of the basis index is 0, else -1:
-    the sigma_z eigenvalue of qubit j on each basis state."""
+    """(2^n, n) read-only matrix of +1 where bit j of the basis index is 0,
+    else -1: the sigma_z eigenvalue of qubit j on each basis state."""
     bits = (np.arange(1 << n_qubits)[:, None] >> np.arange(n_qubits)) & 1
-    return 1.0 - 2.0 * bits
+    signs = 1.0 - 2.0 * bits
+    signs.flags.writeable = False
+    return signs
 
 
 def _z(amps, signs):

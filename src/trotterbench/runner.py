@@ -15,7 +15,7 @@ import numpy as np
 from . import __version__
 from .circuit import MAX_DENSE_SPINS, Circuit, circuit_unitary, encode, gate_counts
 from .exact import chain_spectrum, exact_series
-from .kernels import run_gates, run_gates_record, z_signs
+from .kernels import run_gates, run_gates_record
 from .noise import (
     NoiseParams,
     apply_readout_to_expectations,
@@ -25,9 +25,10 @@ from .observables import (
     ErrorSummary,
     MagnetizationSeries,
     error_series,
+    local_magnetization_from_counts,
     scaling_fit,
 )
-from .statevector import all_down_state, sample_counts, z_expectations
+from .statevector import all_down_state, sample_bitstrings, z_expectations
 from .trotter import (
     TfimParams,
     TrotterOrder,
@@ -182,19 +183,18 @@ def _simulate_local(config: RunConfig, circuit: Circuit) -> np.ndarray:
         return local
 
     if config.mode == "shots":
-        # every partial sum of counts @ signs is an integer, so each row is
-        # the exact count difference over shots
         state = all_down_state(n)
-        signs = z_signs(n)
-        local[0] = sample_counts(state, config.shots, (config.seed, 0)) @ signs
+        local[0] = local_magnetization_from_counts(
+            sample_bitstrings(state, config.shots, (config.seed, 0)))
         kinds, qa, qb, theta, marks = encode(circuit)
         prev = 0
         for k, mark in enumerate(marks, start=1):
             run_gates(state.amps, n, kinds[prev:mark], qa[prev:mark],
                       qb[prev:mark], theta[prev:mark])
-            local[k] = sample_counts(state, config.shots, (config.seed, k)) @ signs
+            local[k] = local_magnetization_from_counts(
+                sample_bitstrings(state, config.shots, (config.seed, k)))
             prev = mark
-        return local / config.shots
+        return local
 
     # noisy: trajectory-averaged expectations, then the readout map
     state = all_down_state(n)
@@ -280,8 +280,8 @@ def scaling_command(base: RunConfig, dt_values) -> list[dict]:
     """Single-step operator-norm error vs the exact propagator per order,
     fitted to a log-log slope; "degenerate" when the errors vanish."""
     dt_values = [float(dt) for dt in dt_values]
-    if len(dt_values) < 3:
-        raise ValueError("need at least 3 dt values for a slope fit")
+    if len(set(dt_values)) < 3:
+        raise ValueError(f"need at least 3 distinct dt values for a slope fit, got {dt_values}")
     spec = chain_spectrum(base.tfim, base.periodic)
     rows = []
     for order in (TrotterOrder.FIRST, TrotterOrder.SYMMETRIC):

@@ -14,8 +14,6 @@ import numpy as np
 from . import kernels
 from .circuit import Circuit, encode
 
-BitString = tuple[int, ...]
-
 
 class StateVector:
     """Complex amplitudes of an n-qubit pure state; owned by a single run."""
@@ -77,13 +75,12 @@ def z_expectations(state: StateVector) -> np.ndarray:
     return kernels.z_expectations(state.amps, state.n_qubits)
 
 
-def sample_counts(state: StateVector, shots: int, rng_seed) -> np.ndarray:
+def sample_bitstrings(state: StateVector, shots: int, rng_seed) -> np.ndarray:
     """Draw `shots` independent full-register measurements from |amp|^2.
 
     Deterministic for a fixed `rng_seed` (any numpy SeedSequence entropy).
-    Returns int64 counts per basis index, shape (2^n,); the shot estimate of
-    every <sigma_z> is then `counts @ kernels.z_signs(n) / shots`, exact in
-    its integer partial sums.
+    Returns int64 counts per bitstring, shape (2^n,), indexed by basis index:
+    bit j of the index is the outcome of qubit j.
     """
     if shots <= 0:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -93,19 +90,3 @@ def sample_counts(state: StateVector, shots: int, rng_seed) -> np.ndarray:
         raise ValueError("state is not normalized")
     rng = np.random.default_rng(rng_seed)
     return rng.multinomial(shots, probs / total)
-
-
-def sample_bitstrings(
-    state: StateVector, shots: int, rng_seed
-) -> dict[BitString, int]:
-    """The draw of `sample_counts` keyed by bit tuples with bits[j] = outcome
-    of qubit j; outcomes never drawn are left out. Nothing in the package
-    calls it; the benchmark's tracer (perfbench/tracing.py) wraps it by
-    name, so it stays while that tracer does."""
-    draws = sample_counts(state, shots, rng_seed)
-    n = state.n_qubits
-    counts: dict[BitString, int] = {}
-    for index in np.flatnonzero(draws):
-        bits = tuple((int(index) >> j) & 1 for j in range(n))
-        counts[bits] = int(draws[index])
-    return counts

@@ -12,20 +12,15 @@ from trotterbench import (
     RunConfig,
     TfimParams,
     TrotterOrder,
-    all_down_state,
     build_evolution_circuit,
     circuit_unitary,
     execute,
-    first_order_step,
     run_command,
-    sample_bitstrings,
     scaling_command,
     symmetric_step,
     sweep_command,
 )
 from trotterbench.exact import build_hamiltonian
-from trotterbench.observables import local_magnetization_from_counts
-from trotterbench.statevector import z_expectations
 
 from oracles import naive_circuit_unitary, naive_hamiltonian
 
@@ -95,22 +90,19 @@ def test_criterion_5_order_inversion():
 
 
 def test_criterion_6_shot_statistics_contract():
-    params = TfimParams(n_spins=5, coupling=1.0, field=1.0, dt=0.2)
-    step = first_order_step(params)
-    state = all_down_state(5)
-    shots, n_seeds, n_steps = 1024, 100, 20
+    # the estimator that writes series.csv: shots-mode runs against the
+    # ideal run of the same circuit, whose <Z_j> they sample
+    base = RunConfig().replace(g=1.0, steps=20)
+    ideal = run_command(base).sim.local[1:]
+    shots, n_seeds = 1024, 100
+    sigma = np.sqrt((1.0 - ideal**2) / shots)
     within = 0
     total = 0
-    for k in range(1, n_steps + 1):
-        execute(step, state)
-        exact = z_expectations(state)
-        sigma = np.sqrt((1.0 - exact**2) / shots)
-        for seed in range(n_seeds):
-            est = local_magnetization_from_counts(
-                sample_bitstrings(state, shots, (seed, k))
-            )
-            within += int(np.sum(np.abs(est - exact) <= 5 * sigma + 1e-15))
-            total += exact.shape[0]
+    for seed in range(n_seeds):
+        cfg = base.replace(mode="shots", shots=shots, seed=seed)
+        est = run_command(cfg).sim.local[1:]
+        within += int(np.sum(np.abs(est - ideal) <= 5 * sigma + 1e-15))
+        total += ideal.size
     frac = within / total
     ok = frac >= 0.99
     report(6, "shot estimator within 5 sigma", ok,

@@ -198,6 +198,22 @@ class TestSpinFlipParity:
 
 
 class TestExactPropagator:
+    @pytest.mark.parametrize("complex_h", [False, True])
+    def test_evolve_is_the_propagator_on_every_time(self, complex_h):
+        # a real H takes evolve's real products, a complex one its complex path
+        rng = np.random.default_rng(5)
+        h = build_hamiltonian(TfimParams(n_spins=3, field=1.3))
+        if complex_h:
+            a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+            h = h + (a + a.conj().T) / 4
+        psi0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        psi0 /= np.linalg.norm(psi0)
+        spec = spectrum(h)
+        assert np.iscomplexobj(spec.eigenvectors) == complex_h
+        times = np.array([0.0, 0.4, 1.7])
+        expected = np.stack([spec.propagator(t) @ psi0 for t in times], axis=1)
+        np.testing.assert_allclose(spec.evolve(psi0, times), expected, rtol=0, atol=1e-12)
+
     def test_zero_time_is_identity(self):
         h = build_hamiltonian(TfimParams(n_spins=3, field=1.0))
         np.testing.assert_allclose(spectrum(h).propagator(0.0), np.eye(8), atol=1e-12)
@@ -273,8 +289,9 @@ class TestExactSeries:
         spec = spectrum(h)
         psi0 = all_down_state(4).amps
         e0 = np.real(psi0.conj() @ h @ psi0)
-        for t in (0.5, 1.5, 4.0):
-            psi = spec.evolve(psi0, t)
+        evolved = spec.evolve(psi0, np.array([0.5, 1.5, 4.0]))
+        assert evolved.shape == (16, 3)
+        for psi in evolved.T:
             assert abs(np.linalg.norm(psi) - 1.0) <= 1e-10
             assert abs(np.real(psi.conj() @ h @ psi) - e0) <= 1e-10
 

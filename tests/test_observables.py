@@ -45,24 +45,42 @@ class TestLocalFromState:
         assert m.mean() == pytest.approx(direct, abs=1e-12)
 
 
+def count_array(tally):
+    """(2^n,) counts from {bits: count}, bits[j] the outcome of qubit j,
+    which is bit j of the basis index."""
+    n = len(next(iter(tally)))
+    counts = np.zeros(2**n, dtype=np.int64)
+    for bits, c in tally.items():
+        counts[sum(b << j for j, b in enumerate(bits))] = c
+    return counts
+
+
 class TestLocalFromCounts:
     def test_all_ones(self):
-        m = local_magnetization_from_counts({(1, 1, 1, 1, 1): 1024})
+        m = local_magnetization_from_counts(count_array({(1, 1, 1, 1, 1): 1024}))
         np.testing.assert_allclose(m, [-1] * 5)
 
     def test_balanced(self):
-        m = local_magnetization_from_counts({(0, 0): 512, (1, 1): 512})
+        m = local_magnetization_from_counts(count_array({(0, 0): 512, (1, 1): 512}))
         np.testing.assert_allclose(m, [0, 0])
 
     def test_pins_bit_to_qubit_encoding(self):
         # 768 shots of qubit0=0 plus 256 of qubit0=1 -> M_0 = 0.5; qubit 1
         # always reads 0 -> M_1 = 1
-        m = local_magnetization_from_counts({(0, 0): 768, (1, 0): 256})
+        m = local_magnetization_from_counts(count_array({(0, 0): 768, (1, 0): 256}))
         np.testing.assert_allclose(m, [0.5, 1.0])
+        np.testing.assert_array_equal(count_array({(0, 0): 768, (1, 0): 256}),
+                                      [768, 256, 0, 0])
 
     def test_empty_counts(self):
-        with pytest.raises(ValueError):
-            local_magnetization_from_counts({})
+        for counts in (np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int64)):
+            with pytest.raises(ValueError):
+                local_magnetization_from_counts(counts)
+
+    def test_counts_not_one_per_basis_state(self):
+        for shape in (1, 6, (2, 4)):
+            with pytest.raises(ValueError):
+                local_magnetization_from_counts(np.ones(shape, dtype=np.int64))
 
     def test_unbiased_over_seeds(self):
         # mean of the shot estimator over 200 seeds stays within 3 standard
@@ -149,6 +167,11 @@ class TestScalingFit:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             scaling_fit([0.1, 0.2], [0.01, 0.04])
+
+    def test_repeated_dt_rejected(self):
+        for dts in ([0.1, 0.1, 0.1], [0.1, 0.2, 0.1, 0.2]):
+            with pytest.raises(ValueError, match="distinct"):
+                scaling_fit(dts, [0.01, 0.04, 0.02, 0.03][:len(dts)])
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 """Run orchestration, file output determinism, and the CLI contract."""
 
 import dataclasses
+import errno
 import json
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -12,6 +14,7 @@ from trotterbench import (
     NoiseParams,
     RunConfig,
     active_backend,
+    cli,
     compare_command,
     exact,
     run_command,
@@ -402,6 +405,40 @@ class TestCli:
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/nonexistent/cfg.json"]) == 2
+
+    def test_config_path_is_a_directory_exit_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(tmp_path), "--out", str(out)]) == 2
+        assert f"cannot read config file {tmp_path}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unreadable_config_file_exit_2_naming_it(self, tmp_path, monkeypatch, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("{}")
+        cfg_path.chmod(0)
+        if os.access(cfg_path, os.R_OK):  # root reads it anyway; refuse as for a user
+            def refuse(path, *args, **kwargs):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+            monkeypatch.setattr(cli, "open", refuse, raising=False)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert f"cannot read config file {cfg_path}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dt_list", ["0.1,0.1,0.1", "0.1,0.2,0.1", "0.05,0.1"])
+    def test_scaling_without_three_distinct_dt_exit_2_before_any_solve(
+        self, dt_list, tmp_path, monkeypatch, capsys
+    ):
+        def solve(*args):
+            raise AssertionError("solved before refusing the dt list")
+
+        monkeypatch.setattr(runner, "chain_spectrum", solve)
+        monkeypatch.setattr(runner, "circuit_unitary", solve)
+        out = tmp_path / "out"
+        assert main(["scaling", "--dt-list", dt_list, "--out", str(out)]) == 2
+        assert "3 distinct dt values" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
