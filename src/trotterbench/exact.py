@@ -2,7 +2,8 @@
 propagator, and continuous-time magnetization series (the Trotter-error-free
 baseline the circuits are compared against). The open chain's series comes
 from free fermions (`fermion`); the periodic chain's from the dense spin-flip
-sectors, which also serve `scaling` and are the open chain's test oracle."""
+sectors, which also serve `scaling` and are the open chain's test oracle.
+The sector blocks are slices of the one dense H of `build_hamiltonian`."""
 
 from __future__ import annotations
 
@@ -48,20 +49,6 @@ class Spectrum:
         return psi
 
 
-def _check_dense(n: int) -> None:
-    if n > MAX_DENSE_SPINS:
-        raise ValueError(f"dense Hamiltonian limited to {MAX_DENSE_SPINS} spins")
-
-
-def _ising_diagonal(params: TfimParams, periodic: bool, dim: int) -> np.ndarray:
-    """-J sum_bonds z_a z_b on the basis states 0..dim-1."""
-    z = z_signs(params.n_spins)[:dim]
-    diag = np.zeros(dim, dtype=np.float64)
-    for a, b in chain_bonds(params.n_spins, periodic):
-        diag -= params.coupling * z[:, a] * z[:, b]
-    return diag
-
-
 def build_hamiltonian(params: TfimParams, periodic: bool = False) -> np.ndarray:
     """H = -J sum_bonds sz sz - g sum_j sx as a dense real symmetric matrix.
 
@@ -70,10 +57,15 @@ def build_hamiltonian(params: TfimParams, periodic: bool = False) -> np.ndarray:
     directly from bit arithmetic, O(4^N) memory.
     """
     n = params.n_spins
-    _check_dense(n)
+    if n > MAX_DENSE_SPINS:
+        raise ValueError(f"dense Hamiltonian limited to {MAX_DENSE_SPINS} spins")
     dim = 1 << n
+    z = z_signs(n)
+    diag = np.zeros(dim, dtype=np.float64)
+    for a, b in chain_bonds(n, periodic):
+        diag -= params.coupling * z[:, a] * z[:, b]
+    h = np.diag(diag)
     idx = np.arange(dim)
-    h = np.diag(_ising_diagonal(params, periodic, dim))
     for j in range(n):
         flipped = idx ^ (1 << j)
         h[flipped, idx] -= params.field
@@ -178,29 +170,13 @@ def _read_only(spec: Spectrum) -> Spectrum:
 
 
 def _sector_blocks(params: TfimParams, periodic: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The blocks H+- = A +- B of `ParitySpectrum`, built from bit arithmetic
-    without the 2^n x 2^n H; they equal the slices of `build_hamiltonian`
-    element for element.
-
-    A = H[r, r] for r < 2^(n-1) is the ZZ diagonal plus -g on the flips of
-    bits 0..n-2, which stay below 2^(n-1). Only the flip of bit n-1 leaves
-    that half, so B = H[r, rbar] is -g times the permutation
-    r -> r XOR (2^(n-1) - 1).
-    """
-    n = params.n_spins
-    _check_dense(n)
-    half = 1 << (n - 1)
-    idx = np.arange(half)
-    even = np.diag(_ising_diagonal(params, periodic, half))
-    for j in range(n - 1):
-        even[idx ^ (1 << j), idx] -= params.field
-    odd = even.copy()
-    # the same sums a + b and a - b as on the slices; b is 0.0 - g there,
-    # so a zero field adds +0.0, not -0.0
-    b = 0.0 - params.field
-    even[idx, idx ^ (half - 1)] += b
-    odd[idx, idx ^ (half - 1)] -= b
-    return even, odd
+    """The blocks H+- = A +- B of `ParitySpectrum`, as slices of
+    `build_hamiltonian`: A = H[r, r] and B = H[r, rbar] for r < 2^(n-1).
+    The full H is freed on return, before either block is solved."""
+    h = build_hamiltonian(params, periodic)
+    half = h.shape[0] // 2
+    a, b = h[:half, :half], h[:half, :half - 1:-1]  # rbar = 2^n - 1 - r
+    return a + b, a - b
 
 
 @functools.lru_cache(maxsize=1)

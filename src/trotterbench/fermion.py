@@ -67,18 +67,14 @@ def pfaffian(a: np.ndarray) -> np.ndarray:
     (2012)). `a` is overwritten."""
     size = a.shape[1]
     pf = np.ones(a.shape[0], dtype=a.dtype)
+    rows = np.arange(a.shape[0])
     for k in range(0, size - 1, 2):
-        # bring the largest entry of column k below row k to row k + 1;
-        # only the matrices whose pivot moved are touched
-        piv = k + 1 + np.abs(a[:, k + 1:, k]).argmax(axis=1)
-        moved = np.flatnonzero(piv != k + 1)
-        if moved.size:
-            rows, p = np.arange(moved.size), piv[moved]
-            sub = a[moved]
-            sub[rows, k + 1], sub[rows, p] = sub[rows, p], sub[rows, k + 1]
-            sub[rows, :, k + 1], sub[rows, :, p] = sub[rows, :, p], sub[rows, :, k + 1]
-            a[moved] = sub
-            pf[moved] = -pf[moved]
+        # bring the largest entry of column k below row k to row k + 1 on
+        # every matrix; one whose pivot is already there swaps with itself
+        p = k + 1 + np.abs(a[:, k + 1:, k]).argmax(axis=1)
+        a[rows, k + 1], a[rows, p] = a[rows, p], a[rows, k + 1]
+        a[rows, :, k + 1], a[rows, :, p] = a[rows, :, p], a[rows, :, k + 1]
+        np.negative(pf, out=pf, where=p != k + 1)
         pivot = a[:, k, k + 1]
         pf *= pivot
         if k + 2 < size:

@@ -29,13 +29,7 @@ from .observables import (
     scaling_fit,
 )
 from .statevector import all_down_state, sample_bitstrings, z_expectations
-from .trotter import (
-    TfimParams,
-    TrotterOrder,
-    build_evolution_circuit,
-    first_order_step,
-    symmetric_step,
-)
+from .trotter import TfimParams, TrotterOrder, build_evolution_circuit
 
 MODES = ("ideal", "shots", "noisy")
 
@@ -230,13 +224,14 @@ def run_command(config: RunConfig) -> RunResult:
 
 
 def sweep_command(base: RunConfig, g_values) -> list[RunResult]:
-    """One run per transverse-field value, everything else shared."""
+    """One run per transverse-field value, everything else shared. Every
+    g is checked before the first run."""
     g_values = list(g_values)
     if not g_values:
         raise ValueError("g_values must be nonempty")
+    configs = [base.replace(g=float(g), out=None) for g in g_values]
     results = []
-    for g in g_values:
-        sub = base.replace(g=float(g), out=None)
+    for g, sub in zip(g_values, configs):
         result = run_command(sub)
         if base.out is not None:
             write_run(result, Path(base.out) / f"g_{fmt(g)}")
@@ -248,21 +243,22 @@ def sweep_command(base: RunConfig, g_values) -> list[RunResult]:
 
 def compare_command(base: RunConfig, g_values) -> list[dict]:
     """Both Trotter orders per g with a shared seed; rows mirror the RMSE
-    comparison table (ratio = symmetric / first, "NA" on a ~0 denominator)."""
+    comparison table (ratio = symmetric / first, "NA" on a ~0 denominator).
+    Every g is checked before the first run."""
     g_values = list(g_values)
     if not g_values:
         raise ValueError("g_values must be nonempty")
+    configs = [base.replace(g=float(g), out=None) for g in g_values]
     rows = []
-    for g in g_values:
+    for sub in configs:
         per_order = {}
         for order in (TrotterOrder.FIRST, TrotterOrder.SYMMETRIC):
-            cfg = base.replace(g=float(g), order=order, out=None)
-            per_order[order] = run_command(cfg).errors
+            per_order[order] = run_command(sub.replace(order=order)).errors
         first = per_order[TrotterOrder.FIRST]
         sym = per_order[TrotterOrder.SYMMETRIC]
         rows.append(
             {
-                "g": float(g),
+                "g": sub.g,
                 "rmse_local_first": first.rmse_local,
                 "rmse_local_sym2": sym.rmse_local,
                 "ratio_local": _ratio(sym.rmse_local, first.rmse_local),
@@ -278,19 +274,19 @@ def compare_command(base: RunConfig, g_values) -> list[dict]:
 
 def scaling_command(base: RunConfig, dt_values) -> list[dict]:
     """Single-step operator-norm error vs the exact propagator per order,
-    fitted to a log-log slope; "degenerate" when the errors vanish."""
+    fitted to a log-log slope; "degenerate" when the errors vanish. Every
+    dt is checked before the eigensolves."""
     dt_values = [float(dt) for dt in dt_values]
     if len(set(dt_values)) < 3:
         raise ValueError(f"need at least 3 distinct dt values for a slope fit, got {dt_values}")
+    step_params = [dataclasses.replace(base.tfim, dt=dt) for dt in dt_values]
     spec = chain_spectrum(base.tfim, base.periodic)
     rows = []
     for order in (TrotterOrder.FIRST, TrotterOrder.SYMMETRIC):
-        step_fn = first_order_step if order == TrotterOrder.FIRST else symmetric_step
         errs = []
-        for dt in dt_values:
-            params = dataclasses.replace(base.tfim, dt=dt)
-            u_step = circuit_unitary(step_fn(params, base.periodic))
-            u_exact = spec.propagator(dt)
+        for params in step_params:
+            u_step = circuit_unitary(build_evolution_circuit(params, 1, order, base.periodic))
+            u_exact = spec.propagator(params.dt)
             errs.append(float(np.linalg.norm(u_step - u_exact, 2)))
         if min(errs) < 1e-14:
             rows.append({"order": order.value, "slope": "degenerate", "errors": errs})

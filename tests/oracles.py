@@ -16,11 +16,15 @@ PAULIS = [I2, SX, SY, SZ]
 
 def kron_at(op, qubit, n):
     """Embed a 2x2 operator on one qubit; qubit 0 is the least-significant bit."""
-    mats = [I2] * n
-    mats[qubit] = op
-    out = mats[-1]
-    for m in reversed(mats[:-1]):
-        out = np.kron(out, m)
+    return kron_sites({qubit: op}, n)
+
+
+def kron_sites(ops, n):
+    """Embed 2x2 operators on several qubits, given as {qubit: op}, with the
+    identity elsewhere; qubit 0 is the least-significant bit."""
+    out = ops.get(n - 1, I2)
+    for q in range(n - 2, -1, -1):
+        out = np.kron(out, ops.get(q, I2))
     return out
 
 
@@ -32,7 +36,7 @@ def naive_hamiltonian(n, coupling, field, periodic=False):
     if periodic:
         bonds.append((n - 1, 0))
     for a, b in bonds:
-        h -= coupling * (kron_at(SZ, a, n) @ kron_at(SZ, b, n))
+        h -= coupling * kron_sites({a: SZ, b: SZ}, n)
     for j in range(n):
         h -= field * kron_at(SX, j, n)
     return h

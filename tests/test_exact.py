@@ -336,18 +336,22 @@ class TestExactSeries:
 
 
 class TestSectorBlocks:
+    # the full grid to N=10 would take the Kronecker oracle ~9 s; N=9 and 10
+    # take one nontrivial (g, J)
+    CASES = [(n, g, j) for n in range(2, 9) for g in (0.0, 1.0, 2.5) for j in (1.0, -0.7)]
+    CASES += [(9, 2.5, -0.7), (10, 2.5, -0.7)]
+
     @pytest.mark.parametrize("periodic", [False, True])
     def test_blocks_equal_the_slices_of_the_full_hamiltonian(self, periodic):
-        for n in range(2, 11):
-            for field in (0.0, 1.0, 2.5):
-                params = TfimParams(n_spins=n, field=field)
-                h = build_hamiltonian(params, periodic)
-                half = h.shape[0] // 2
-                a, b = h[:half, :half], h[:half, :half - 1:-1]
-                even, odd = exact._sector_blocks(params, periodic)
-                msg = f"n={n} g={field}"
-                assert np.array_equal(even, a + b), msg
-                assert np.array_equal(odd, a - b), msg
+        for n, field, coupling in self.CASES:
+            params = TfimParams(n_spins=n, coupling=coupling, field=field)
+            h = naive_hamiltonian(n, coupling, field, periodic).real
+            half = h.shape[0] // 2
+            a, b = h[:half, :half], h[:half, :half - 1:-1]  # rbar = 2^n - 1 - r
+            even, odd = exact._sector_blocks(params, periodic)
+            msg = f"n={n} g={field} J={coupling}"
+            assert np.array_equal(even, a + b), msg
+            assert np.array_equal(odd, a - b), msg
 
     def test_dense_bound(self):
         with pytest.raises(ValueError):

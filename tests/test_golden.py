@@ -46,7 +46,10 @@ stayed byte-identical, as did every periodic output:
 
 The heavily faulted noisy run and the periodic scaling run were recorded
 with the gate-by-gate engine, before each ZZ bond became one diagonal phase
-and the trajectories moved to the last axis.
+and the trajectories moved to the last axis. The periodic N=9 run was
+recorded while the sector blocks were built from bit arithmetic, before
+they became slices of `build_hamiltonian`; with two OpenBLAS threads in
+place of one during the sector solves, both of its hashes change.
 """
 
 import hashlib
@@ -95,6 +98,13 @@ class TestGoldenOutputs:
              "--seed", "11"],
             {"series.csv": "d91b1027df5b50b00f2534d9cdc3bb5ce47308b78ff54b85331fe791c24ecea3",
              "totals.csv": "b8eaf425baf48c4af077776cc6788e6a2553d848f420ba76e621a78b47d3af85"},
+        ),
+        # the dense sector solve at a size where its rounding follows the
+        # BLAS thread count (README, "Exact reference")
+        "periodic_n9": (
+            ["run", "--n", "9", "--periodic", "--steps", "4", "--g", "2"],
+            {"series.csv": "372a96c9e87b5a5862bffb6bf7951506f08428477836926ae8c317df18942a9a",
+             "totals.csv": "fab4a954d7f04bf26b33ee2b40eef617073c53995adc79d8652dc8f16463724a"},
         ),
         # the dense step unitaries of circuit_unitary, wrap bond included
         "scaling": (

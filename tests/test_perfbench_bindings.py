@@ -85,10 +85,6 @@ _COMMANDS = [
     ["scaling", "--n", "3", "--g", "2", "--dt-list", "0.05,0.1,0.2"],
 ]
 
-# The one traced name no command runs: the dense full-space H is the tests'
-# reference, and the runtime builds only its sector blocks.
-_TEST_ONLY = {"exact.hamiltonian"}
-
 
 def test_every_traced_name_does_runtime_work(tracing, tmp_path):
     src = Path(trotterbench.__file__).resolve().parents[1]
@@ -101,4 +97,4 @@ def test_every_traced_name_does_runtime_work(tracing, tmp_path):
     traced = json.loads(proc.stdout)
     assert traced["codes"] == [0] * len(_COMMANDS), proc.stderr
     names = {name for _, _, name, _ in tracing.TARGETS} | {m[-1] for m in tracing.METHODS}
-    assert names - _TEST_ONLY - set(traced["spans"]) == set()
+    assert names - set(traced["spans"]) == set()

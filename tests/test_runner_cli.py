@@ -311,6 +311,10 @@ class TestCli:
         (["compare"], {"g_list": [1], "G": 2}, "G"),
         (["scaling"], {"dt_list": [0.1, 0.2, 0.3], "g_list": [1]}, "g_list"),
         (["scaling", "--dt-list", "0.05,0.1,0.2"], {"config": "other.json"}, "config"),
+        # a bad list value after good ones is refused before the first run or solve
+        (["sweep", "--g-list", "1,nan"], None, "finite"),
+        (["compare", "--g-list", "1,inf"], None, "finite"),
+        (["scaling", "--dt-list", "0.1,0.2,-0.3"], None, "dt"),
     ])
     def test_value_the_mode_ignores_exit_2_before_any_work(
         self, argv, file_values, key, tmp_path, monkeypatch, capsys
