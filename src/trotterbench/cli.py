@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -61,7 +62,10 @@ def _help(f: dataclasses.Field, default) -> str:
     return f"{f.metadata['help']} (default {fmt(default) if type(default) is float else default})"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it as it
+    was, and every call returns a fresh namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file supplying any flag")
     defaults = RunConfig().to_dict()

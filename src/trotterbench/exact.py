@@ -205,35 +205,29 @@ def chain_spectrum(params: TfimParams, periodic: bool = False) -> ParitySpectrum
     return _chain_spectrum(params.n_spins, params.coupling, params.field, bool(periodic))
 
 
-def exact_series(params: TfimParams, times, periodic: bool = False) -> MagnetizationSeries:
-    """Exact M_j(t) and M(t) from all-down on the requested time grid.
+def exact_series(params: list[TfimParams], times,
+                 periodic: bool = False) -> list[MagnetizationSeries]:
+    """Exact M_j(t) and M(t) from all-down on the requested time grid, one
+    series per chain of `params`, which share N.
 
-    The open chain is read from free fermions (`fermion.z_series`), the
-    periodic chain from its cached sector spectra (`sector_series`); each
-    serves every time point at once. `times` must be ascending and start
-    at 0. The last series asked is cached, read-only, since both Trotter
-    orders of a g compare with the same one.
+    The open chains are read from free fermions in one `fermion.z_series`
+    pass; each periodic chain from its cached sector spectra
+    (`sector_series`). Each serves every time point at once. `times` must
+    be ascending and start at 0. The series are read-only.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.shape[0] < 1:
         raise ValueError("times must be a nonempty 1-d array")
     if times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be ascending and start at 0")
-    local = _series(params.n_spins, params.coupling, params.field, bool(periodic),
-                    tuple(times.tolist()))
-    return MagnetizationSeries(times, local)
-
-
-@functools.lru_cache(maxsize=1)
-def _series(n_spins: int, coupling: float, field: float, periodic: bool,
-            times: tuple) -> np.ndarray:
-    params = TfimParams(n_spins=n_spins, coupling=coupling, field=field)
-    grid = np.array(times)
-    local = sector_series(params, grid, periodic) if periodic else fermion.z_series(params, grid)
+    if periodic:
+        local = np.stack([sector_series(p, times, periodic) for p in params])
+    else:
+        local = fermion.z_series(params, times)
     # rounding can push |M| marginally past 1; the series type rejects that
     np.clip(local, -1.0, 1.0, out=local)
     local.flags.writeable = False
-    return local
+    return [MagnetizationSeries(times, chain) for chain in local]
 
 
 def sector_series(params: TfimParams, times: np.ndarray, periodic: bool = False) -> np.ndarray:

@@ -87,11 +87,14 @@ def pfaffian(a: np.ndarray) -> np.ndarray:
     return pf
 
 
-def z_series(params: TfimParams, times: np.ndarray) -> np.ndarray:
-    """<Z_j(t)> of the open chain started from all-down, shape (times, N):
-    one batched Pfaffian over the time grid per site."""
-    n = params.n_spins
-    r = majorana_propagator(params, times)
+def z_series(params: list[TfimParams], times: np.ndarray) -> np.ndarray:
+    """<Z_j(t)> of open chains of one length N started from all-down, shape
+    (len(params), times, N): one batched Pfaffian per site over the time
+    grids of every chain at once."""
+    n = params[0].n_spins
+    if any(p.n_spins != n for p in params):
+        raise ValueError("every chain of one series pass must have the same length")
+    r = np.concatenate([majorana_propagator(p, times) for p in params])
     # rows e_{a_0}, R[a_0], R[b_0], ..., R[a_{N-1}]
     u = np.empty_like(r)
     u[:, 0] = 0.0
@@ -102,8 +105,8 @@ def z_series(params: TfimParams, times: np.ndarray) -> np.ndarray:
     # the pairs above the diagonal
     k = np.triu(u @ ut + 1j * (u @ _ghz_contractions(n) @ ut), 1)
     k = k - k.transpose(0, 2, 1)
-    local = np.empty((times.shape[0], n))
+    local = np.empty((r.shape[0], n))
     for j in range(n):
         size = 2 * j + 2
         local[:, j] = -(_I_POWERS[j % 4] * pfaffian(k[:, :size, :size].copy())).real
-    return local
+    return local.reshape(len(params), times.shape[0], n)

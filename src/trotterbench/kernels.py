@@ -1,13 +1,17 @@
 """Amplitude-update engine: every gate, Pauli fault and <Z> readout, in numpy.
 
 Amplitudes are a C-contiguous complex array of shape (2^n, B), one state per
-column, or (2^n,) for a single state. B=1 serves ideal and shots mode, B
-trajectories serve noisy mode, and the 2^n basis states serve the dense
-unitary of `circuit.circuit_unitary`. A gate on qubit q acts on the reshape
-view (2^n >> (q+1), 2, 2^q B), whose axis 1 is bit q of the basis index, so
-every view has a contiguous inner run of at least B amplitudes and no
-rotation or CNOT builds index arrays. All kernels mutate the amplitudes in
-place.
+column, or (2^n,) for a single state. The columns of a block are one of two
+things. Independent runs: the g values of a `sweep` or `compare` in ideal
+and shots mode (one column for a single run), each with its own RX angles
+and each read out alone, because BLAS rounds a B-row <Z> product
+differently from the 1-row product of a single run. Trajectories: the B
+trajectories of noisy mode, read out with one product. The 2^n basis
+states of `circuit.circuit_unitary` are a block too. A gate on qubit q acts
+on the reshape view (2^n >> (q+1), 2, 2^q, B), whose axis 1 is bit q of the
+basis index, so every view has a contiguous inner run of at least B
+amplitudes and no rotation or CNOT builds index arrays. All kernels mutate
+the amplitudes in place.
 
 Each Ising bond CNOT(a,b) RZ(b,theta) CNOT(a,b) runs as one multiply by a
 cached (2^n,) diagonal: exp(-i theta/2) where bits a and b agree and
@@ -47,8 +51,9 @@ def _batch(amps: np.ndarray) -> np.ndarray:
 
 
 def _pair(amps, q):
-    """Views of the amplitudes of (2^n, B) `amps` whose bit q is 0 and 1."""
-    v = amps.reshape(amps.shape[0] >> (q + 1), 2, -1)
+    """Views (2^n >> (q+1), 2^q, B) of the amplitudes of (2^n, B) `amps`
+    whose bit q is 0 and 1."""
+    v = amps.reshape(amps.shape[0] >> (q + 1), 2, 1 << q, amps.shape[1])
     return v[:, 0], v[:, 1]
 
 
@@ -58,12 +63,21 @@ def _swap(x0, x1):
     x1[...] = tmp
 
 
-def _rx(amps, q, theta):
+def _rx_factors(theta):
+    """(c, i s, -i s) with c, s = cos, sin(theta / 2): the factors RX(theta)
+    multiplies by."""
     c = math.cos(theta / 2)
     s = math.sin(theta / 2)
+    return c, 1j * s, -1j * s
+
+
+def _rx(amps, q, factors):
+    """RX by `_rx_factors`: scalars for every column, or (B,) arrays with
+    one angle per column."""
+    c, i_s, minus_i_s = factors
     x0, x1 = _pair(amps, q)
-    new0 = c * x0 - 1j * s * x1
-    x1[...] = -1j * s * x0 + c * x1
+    new0 = c * x0 - i_s * x1
+    x1[...] = minus_i_s * x0 + c * x1
     x0[...] = new0
 
 
@@ -82,13 +96,38 @@ def _cnot(amps, control, target):
         _swap(v[:, 0, :, 1], v[:, 1, :, 1])
 
 
-def _gate(amps, kind, a, b, theta):
+def _gate(amps, kind, a, b, angle):
     if kind == 0:
-        _rx(amps, a, theta)
+        _rx(amps, a, angle)
     elif kind == 1:
-        _rz(amps, a, theta)
+        _rz(amps, a, angle)
     else:
         _cnot(amps, a, b)
+
+
+def _angles(kinds, theta, columns):
+    """Per gate, what its kernel takes: an RX's `_rx_factors`, any other
+    gate's angle. `theta` is (n_gates,), or (n_gates, columns) with one RX
+    angle per column; every other angle must then agree across the columns,
+    so that RZ gates and fused bonds keep one (cached) phase."""
+    block = theta[:, None] if theta.ndim == 1 else theta
+    if block.shape[1] not in (1, columns):
+        raise ValueError(f"theta has {block.shape[1]} columns, the amplitudes {columns}")
+    uniform = (block == block[:, :1]).all(axis=1).tolist()
+    factors = {}  # per RX angle, or per row of RX angles where the columns differ
+    angles = []
+    for i, (kind, first, same) in enumerate(zip(kinds, block[:, 0].tolist(), uniform)):
+        if kind != 0:
+            if not same:
+                raise ValueError("only RX angles may differ between the columns of a block")
+            angles.append(first)
+            continue
+        key = first if same else tuple(block[i].tolist())
+        if key not in factors:
+            factors[key] = (_rx_factors(first) if same
+                            else tuple(map(np.array, zip(*map(_rx_factors, key)))))
+        angles.append(factors[key])
+    return angles
 
 
 # Both caches hold read-only arrays of 16 or 24 bytes per basis state: at
@@ -161,9 +200,12 @@ def _z(amps, signs):
 
 def _run(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out):
     """Apply every gate (and its faults) to all columns; after the gates up
-    to each step mark, write per-column <sigma_z> into out[..., mark index, :]."""
+    to each step mark, write per-column <sigma_z> into out[..., mark index, :]:
+    column by column without faults (independent runs), with one product
+    with faults (trajectories)."""
     batch = _batch(amps)
-    kinds, qa, qb, theta = kinds.tolist(), qa.tolist(), qb.tolist(), theta.tolist()
+    kinds, qa, qb = kinds.tolist(), qa.tolist(), qb.tolist()
+    theta = _angles(kinds, np.asarray(theta, dtype=np.float64), batch.shape[1])
     if faults is None:
         first = [0] * (len(kinds) + 1)
     else:  # events sorted by gate; those of gate i are first[i]:first[i + 1]
@@ -194,24 +236,32 @@ def _run(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out):
                 apply_faults(i)
                 i += 1
         if k < len(marks):
-            out[..., k, :] = _z(batch, signs)
+            if faults is None:
+                for c, run in enumerate(out if out.ndim == 3 else out[None]):
+                    run[k] = _z(batch[:, c:c + 1], signs)
+            else:
+                out[..., k, :] = _z(batch, signs)
         start = stop
 
 
 def run_gates(amps, n_qubits, kinds, qa, qb, theta):
-    """All gates in order."""
+    """All gates in order. `theta` is (n_gates,), or (n_gates, B) for a
+    (2^n, B) block of independent runs whose RX angles differ."""
     _run(amps, n_qubits, kinds, qa, qb, theta, [], None, None)
 
 
 def run_gates_record(amps, n_qubits, kinds, qa, qb, theta, marks, out):
-    """All gates, recording <sigma_z> at the step marks: `out` is
-    (n_marks, n) for one state, (B, n_marks, n) for a (2^n, B) batch."""
+    """As `run_gates`, recording <sigma_z> of each column alone at the step
+    marks: `out` is (n_marks, n) for one state, (B, n_marks, n) for a
+    (2^n, B) block."""
     _run(amps, n_qubits, kinds, qa, qb, theta, marks, None, out)
 
 
 def run_gates_noisy(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out):
-    """As `run_gates_record` on a (2^n, B) batch, with the Pauli faults given
-    by the int8 codes `faults` of shape (n_gates, B)."""
+    """As `run_gates_record` on a (2^n, B) block of trajectories, with the
+    Pauli faults given by the int8 codes `faults` of shape (n_gates, B) and
+    <sigma_z> read with one product for the whole block. `theta` is
+    (n_gates,)."""
     _run(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out)
 
 

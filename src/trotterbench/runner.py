@@ -163,80 +163,99 @@ class RunResult:
     wall_time: float = 0.0
 
 
-def _simulate_local(config: RunConfig, circuit: Circuit) -> np.ndarray:
-    """Per-step local magnetization of the config's evolution circuit in the
-    configured mode, rows k = 0..steps."""
-    n = config.n
-    local = np.empty((config.steps + 1, n), dtype=np.float64)
-
-    if config.mode == "ideal":
-        state = all_down_state(n)
-        local[0] = z_expectations(state)
-        kinds, qa, qb, theta, marks = encode(circuit)
-        run_gates_record(state.amps, n, kinds, qa, qb, theta, marks, local[1:])
-        return local
-
-    if config.mode == "shots":
-        state = all_down_state(n)
-        local[0] = local_magnetization_from_counts(
-            sample_bitstrings(state, config.shots, (config.seed, 0)))
-        kinds, qa, qb, theta, marks = encode(circuit)
-        prev = 0
-        for k, mark in enumerate(marks, start=1):
-            run_gates(state.amps, n, kinds[prev:mark], qa[prev:mark],
-                      qb[prev:mark], theta[prev:mark])
-            local[k] = local_magnetization_from_counts(
-                sample_bitstrings(state, config.shots, (config.seed, k)))
-            prev = mark
-        return local
-
-    # noisy: trajectory-averaged expectations, then the readout map
+def _simulate_local(configs: list[RunConfig], circuits: list[Circuit]) -> np.ndarray:
+    """Per-step local magnetization of each config's evolution circuit in
+    the configured mode, shape (configs, steps + 1, n). The configs differ
+    only in g. Ideal and shots mode evolve them as the columns of one
+    (2^n, G) block; noisy mode runs one trajectory block per config."""
+    base = configs[0]
+    n = base.n
+    local = np.empty((len(configs), base.steps + 1, n), dtype=np.float64)
     state = all_down_state(n)
-    local[0] = z_expectations(state)
-    local[1:] = noisy_execute(
-        circuit, state, config.noise, config.traj, config.seed
-    )
-    return apply_readout_to_expectations(local, config.noise)
+
+    if base.mode == "noisy":
+        # trajectory-averaged expectations, then the readout map
+        for run, config, circuit in zip(local, configs, circuits):
+            run[0] = z_expectations(state)
+            run[1:] = noisy_execute(circuit, state, config.noise, config.traj, config.seed)
+            run[...] = apply_readout_to_expectations(run, config.noise)
+        return local
+
+    encoded = [encode(circuit) for circuit in circuits]
+    kinds, qa, qb, _, marks = encoded[0]
+    theta = np.column_stack([e[3] for e in encoded])
+    amps = np.repeat(state.amps[:, None], len(configs), axis=1)
+
+    if base.mode == "ideal":
+        local[:, 0] = z_expectations(state)
+        run_gates_record(amps, n, kinds, qa, qb, theta, marks, local[:, 1:])
+        return local
+
+    # shots: every g samples step k from the stream (seed, k)
+    def sample(k):
+        counts = sample_bitstrings(amps, base.shots, (base.seed, k))
+        return [local_magnetization_from_counts(row) for row in counts]
+
+    local[:, 0] = sample(0)
+    prev = 0
+    for k, mark in enumerate(marks, start=1):
+        run_gates(amps, n, kinds[prev:mark], qa[prev:mark], qb[prev:mark], theta[prev:mark])
+        local[:, k] = sample(k)
+        prev = mark
+    return local
+
+
+def _run_block(configs: list[RunConfig],
+               exact: list[MagnetizationSeries] | None = None) -> list[RunResult]:
+    """Runs of configs that differ only in g, simulated as one block against
+    the exact reference; every result's wall_time is the block's. `exact`
+    passes the series of these g when the caller already has them."""
+    start = time.perf_counter()
+    base = configs[0]
+    times = base.dt * np.arange(base.steps + 1)
+    circuits = [build_evolution_circuit(c.tfim, c.steps, c.order, c.periodic)
+                for c in configs]
+    local = _simulate_local(configs, circuits)
+    if exact is None:
+        exact = exact_series([c.tfim for c in configs], times, base.periodic)
+    results = []
+    for config, circuit, run, reference in zip(configs, circuits, local, exact):
+        sim = MagnetizationSeries(times, run)
+        results.append(RunResult(config=config, sim=sim, exact=reference,
+                                 errors=error_series(sim.tail(1), reference.tail(1)),
+                                 counts=gate_counts(circuit)))
+    wall_time = time.perf_counter() - start
+    for result in results:
+        result.wall_time = wall_time
+    return results
 
 
 def run_command(config: RunConfig) -> RunResult:
     """Execute one configured run against the exact reference; write its
     files when the config names an output directory."""
-    start = time.perf_counter()
-    params = config.tfim
-    times = params.dt * np.arange(config.steps + 1)
-    circuit = build_evolution_circuit(params, config.steps, config.order, config.periodic)
-    local = _simulate_local(config, circuit)
-    sim = MagnetizationSeries(times, local)
-    exact = exact_series(params, times, config.periodic)
-    errors = error_series(sim.tail(1), exact.tail(1))
-    result = RunResult(
-        config=config,
-        sim=sim,
-        exact=exact,
-        errors=errors,
-        counts=gate_counts(circuit),
-        wall_time=time.perf_counter() - start,
-    )
+    result = _run_block([config])[0]
     if config.out is not None:
         write_run(result, Path(config.out))
     return result
 
 
-def sweep_command(base: RunConfig, g_values) -> list[RunResult]:
-    """One run per transverse-field value, everything else shared. Every
-    g is checked before the first run."""
+def _g_configs(base: RunConfig, g_values) -> list[RunConfig]:
+    """One config per g, everything else shared; every g is checked here,
+    before any run."""
     g_values = list(g_values)
     if not g_values:
         raise ValueError("g_values must be nonempty")
-    configs = [base.replace(g=float(g), out=None) for g in g_values]
-    results = []
-    for g, sub in zip(g_values, configs):
-        result = run_command(sub)
-        if base.out is not None:
-            write_run(result, Path(base.out) / f"g_{fmt(g)}")
-        results.append(result)
+    return [base.replace(g=float(g), out=None) for g in g_values]
+
+
+def sweep_command(base: RunConfig, g_values) -> list[RunResult]:
+    """One run per transverse-field value, everything else shared, all g
+    simulated as one block. Every g is checked before the first run."""
+    g_values = list(g_values)
+    results = _run_block(_g_configs(base, g_values))
     if base.out is not None:
+        for g, result in zip(g_values, results):
+            write_run(result, Path(base.out) / f"g_{fmt(g)}")
         _write_csv(Path(base.out) / "sweep.csv", *sweep_table(g_values, results))
     return results
 
@@ -244,21 +263,18 @@ def sweep_command(base: RunConfig, g_values) -> list[RunResult]:
 def compare_command(base: RunConfig, g_values) -> list[dict]:
     """Both Trotter orders per g with a shared seed; rows mirror the RMSE
     comparison table (ratio = symmetric / first, "NA" on a ~0 denominator).
-    Every g is checked before the first run."""
-    g_values = list(g_values)
-    if not g_values:
-        raise ValueError("g_values must be nonempty")
-    configs = [base.replace(g=float(g), out=None) for g in g_values]
+    Each order runs all g as one block, and both compare with one exact
+    series per g. Every g is checked before the first run."""
+    configs = _g_configs(base, g_values)
+    firsts = _run_block([c.replace(order=TrotterOrder.FIRST) for c in configs])
+    syms = _run_block([c.replace(order=TrotterOrder.SYMMETRIC) for c in configs],
+                      [r.exact for r in firsts])
     rows = []
-    for sub in configs:
-        per_order = {}
-        for order in (TrotterOrder.FIRST, TrotterOrder.SYMMETRIC):
-            per_order[order] = run_command(sub.replace(order=order)).errors
-        first = per_order[TrotterOrder.FIRST]
-        sym = per_order[TrotterOrder.SYMMETRIC]
+    for config, first_run, sym_run in zip(configs, firsts, syms):
+        first, sym = first_run.errors, sym_run.errors
         rows.append(
             {
-                "g": sub.g,
+                "g": config.g,
                 "rmse_local_first": first.rmse_local,
                 "rmse_local_sym2": sym.rmse_local,
                 "ratio_local": _ratio(sym.rmse_local, first.rmse_local),

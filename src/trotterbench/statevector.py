@@ -75,18 +75,28 @@ def z_expectations(state: StateVector) -> np.ndarray:
     return kernels.z_expectations(state.amps, state.n_qubits)
 
 
-def sample_bitstrings(state: StateVector, shots: int, rng_seed) -> np.ndarray:
-    """Draw `shots` independent full-register measurements from |amp|^2.
+def sample_bitstrings(amps: np.ndarray, shots: int, rng_seed) -> np.ndarray:
+    """Draw `shots` independent full-register measurements from |amp|^2 of
+    one state (2^n,) or of each column of a (2^n, B) block.
 
-    Deterministic for a fixed `rng_seed` (any numpy SeedSequence entropy).
-    Returns int64 counts per bitstring, shape (2^n,), indexed by basis index:
-    bit j of the index is the outcome of qubit j.
+    Deterministic for a fixed `rng_seed` (any numpy SeedSequence entropy):
+    every column draws from the same stream, the one a single state with
+    that seed draws from. Returns int64 counts per bitstring, shape (2^n,)
+    or (B, 2^n), indexed by basis index: bit j of the index is the outcome
+    of qubit j.
     """
     if shots <= 0:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    probs = state.probabilities()
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
+    # one contiguous row of probabilities per state, as a single state has
+    probs = np.ascontiguousarray((amps.real**2 + amps.imag**2).T)
+    rows = probs.reshape(-1, probs.shape[-1])
+    totals = rows.sum(axis=1)
+    if np.any(np.abs(totals - 1.0) > 1e-9):
         raise ValueError("state is not normalized")
     rng = np.random.default_rng(rng_seed)
-    return rng.multinomial(shots, probs / total)
+    start = rng.bit_generator.state
+    counts = np.empty(rows.shape, dtype=np.int64)
+    for row, p, total in zip(counts, rows, totals.tolist()):
+        rng.bit_generator.state = start
+        row[...] = rng.multinomial(shots, p / total)
+    return counts.reshape(probs.shape)

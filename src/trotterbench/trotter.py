@@ -38,8 +38,9 @@ class TfimParams:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.coupling == 0:
             raise ValueError("coupling must be nonzero")
-        if not all(map(math.isfinite, (self.coupling, self.field, self.dt))):
-            raise ValueError("parameters must be finite")
+        for key, value in (("j", self.coupling), ("g", self.field), ("dt", self.dt)):
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
 
 
 def chain_bonds(n_spins: int, periodic: bool = False) -> list[tuple[int, int]]:

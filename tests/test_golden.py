@@ -49,7 +49,9 @@ with the gate-by-gate engine, before each ZZ bond became one diagonal phase
 and the trajectories moved to the last axis. The periodic N=9 run was
 recorded while the sector blocks were built from bit arithmetic, before
 they became slices of `build_hamiltonian`; with two OpenBLAS threads in
-place of one during the sector solves, both of its hashes change.
+place of one during the sector solves, both of its hashes change. The
+multi-g shots sweep and the periodic compare were recorded while every g
+ran as its own single-state run, before a g-list became one block.
 """
 
 import hashlib
@@ -105,6 +107,18 @@ class TestGoldenOutputs:
             ["run", "--n", "9", "--periodic", "--steps", "4", "--g", "2"],
             {"series.csv": "372a96c9e87b5a5862bffb6bf7951506f08428477836926ae8c317df18942a9a",
              "totals.csv": "fab4a954d7f04bf26b33ee2b40eef617073c53995adc79d8652dc8f16463724a"},
+        ),
+        # several g as the columns of one shots block, 0 among them
+        "sweep_shots": (
+            ["sweep", "--n", "3", "--steps", "4", "--g-list", "0,1,2.5", "--mode", "shots",
+             "--shots", "64", "--seed", "7"],
+            {"sweep.csv": "80ed8eebf0387349fb36653090d5c41c3c5c2e842e2d50ef537356d99190e141",
+             "g_1/series.csv": "9d9ca4cfbcb4ad520e75b18455ed510036cdc9a2d4f9da0b2cffaf21f2f6906d"},
+        ),
+        # an ideal block per order on the ring, with its per-g sector solves
+        "compare_periodic": (
+            ["compare", "--n", "4", "--steps", "4", "--periodic", "--g-list", "0.5,1,2"],
+            {"compare.csv": "44cc002928777901fbe78eedab2d56aefbc30f0879146c4ac75837b23aa82494"},
         ),
         # the dense step unitaries of circuit_unitary, wrap bond included
         "scaling": (

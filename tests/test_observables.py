@@ -92,7 +92,7 @@ class TestLocalFromCounts:
         shots, seeds = 1024, 200
         estimates = np.empty((seeds, 5))
         for s in range(seeds):
-            counts = sample_bitstrings(state, shots, s)
+            counts = sample_bitstrings(state.amps, shots, s)
             estimates[s] = local_magnetization_from_counts(counts)
         sem = np.sqrt((1 - exact**2) / shots) / np.sqrt(seeds)
         assert np.all(np.abs(estimates.mean(axis=0) - exact) <= 3 * sem + 1e-12)

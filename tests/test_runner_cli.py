@@ -312,9 +312,10 @@ class TestCli:
         (["scaling"], {"dt_list": [0.1, 0.2, 0.3], "g_list": [1]}, "g_list"),
         (["scaling", "--dt-list", "0.05,0.1,0.2"], {"config": "other.json"}, "config"),
         # a bad list value after good ones is refused before the first run or solve
-        (["sweep", "--g-list", "1,nan"], None, "finite"),
-        (["compare", "--g-list", "1,inf"], None, "finite"),
+        (["sweep", "--g-list", "1,nan"], None, "g"),
+        (["compare", "--g-list", "1,inf"], None, "g"),
         (["scaling", "--dt-list", "0.1,0.2,-0.3"], None, "dt"),
+        (["run", "--j", "nan"], None, "j"),
     ])
     def test_value_the_mode_ignores_exit_2_before_any_work(
         self, argv, file_values, key, tmp_path, monkeypatch, capsys
@@ -397,6 +398,31 @@ class TestCli:
                 note = f" (default {runner.fmt(default) if type(default) is float else default})"
             assert f"{f.metadata['help']}{note}" in help_text, f.name
         assert "(default 0.0)" not in help_text
+
+    def test_parser_built_once_and_no_flag_leaks_into_the_next_call(self, tmp_path, capsys):
+        argvs = [["run", "--n", "3", "--steps", "2", "--periodic", "--g", "2"],
+                 ["run", "--n", "3", "--steps", "2"]]
+
+        def outputs(out):
+            series = (out / "series.csv").read_bytes()
+            meta = json.loads((out / "meta.json").read_text())
+            meta.pop("wall_time")
+            meta["config"].pop("out")
+            stdout = capsys.readouterr().out.rsplit(" wall_time=", 1)[0]
+            return series, meta, stdout
+
+        fresh = []
+        for i, argv in enumerate(argvs):
+            build_parser.cache_clear()
+            assert main([*argv, "--out", str(tmp_path / f"fresh{i}")]) == 0
+            fresh.append(outputs(tmp_path / f"fresh{i}"))
+        parser = build_parser()
+        for i, argv in enumerate(argvs):
+            assert main([*argv, "--out", str(tmp_path / f"reused{i}")]) == 0
+            assert outputs(tmp_path / f"reused{i}") == fresh[i], argv
+        assert build_parser() is parser
+        assert fresh[1][1]["config"]["periodic"] is False
+        assert fresh[1][1]["config"]["g"] == 1.0
 
     def test_sweep_requires_g_list(self, capsys):
         code = main(["sweep"])

@@ -183,25 +183,25 @@ def bit_tally(counts, n):
 class TestSampling:
     def test_basis_state_deterministic_outcome(self):
         state = init_basis_state(5, [1, 0, 1, 1, 0])
-        counts = sample_bitstrings(state, 1024, 9)
+        counts = sample_bitstrings(state.amps, 1024, 9)
         expected = np.zeros(32, dtype=np.int64)
         expected[0b01101] = 1024  # qubit j is bit j: qubits 0, 2 and 3 read 1
         np.testing.assert_array_equal(counts, expected)
 
     def test_superposition_counts_within_binomial_bound(self):
         state = StateVector(1, np.array([1, 1]) / math.sqrt(2))
-        counts = sample_bitstrings(state, 1024, 123)
+        counts = sample_bitstrings(state.amps, 1024, 123)
         assert abs(counts[0] - 512) <= 5 * 16  # 5 sigma, sigma = sqrt(1024/4)
 
     def test_determinism(self):
         state = StateVector(1, np.array([1, 1]) / math.sqrt(2))
-        a = sample_bitstrings(state, 1024, 77)
-        b = sample_bitstrings(state, 1024, 77)
+        a = sample_bitstrings(state.amps, 1024, 77)
+        b = sample_bitstrings(state.amps, 1024, 77)
         np.testing.assert_array_equal(a, b)
 
     def test_invalid_shots(self):
         with pytest.raises(ValueError):
-            sample_bitstrings(init_basis_state(1, [0]), 0, 1)
+            sample_bitstrings(init_basis_state(1, [0]).amps, 0, 1)
 
     def test_marginals_converge_over_seeds(self):
         # empirical per-bit frequency within 5 binomial sigma for >= 99% of
@@ -215,7 +215,7 @@ class TestSampling:
         ok = 0
         total = 0
         for seed in range(100):
-            est = bit_tally(sample_bitstrings(state, shots, seed), 5)
+            est = bit_tally(sample_bitstrings(state.amps, shots, seed), 5)
             sigma = np.sqrt((1.0 - exact**2) / shots)
             for j in range(5):
                 total += 1
@@ -225,7 +225,7 @@ class TestSampling:
 
     def test_estimator_matches_expectation_at_large_shots(self):
         state = StateVector(2, np.array([0.6, 0.0, 0.48, 0.64]))
-        est = bit_tally(sample_bitstrings(state, 10**6, 5), 2)
+        est = bit_tally(sample_bitstrings(state.amps, 10**6, 5), 2)
         for j in range(2):
             assert abs(est[j] - z_expectations(state)[j]) <= 0.01
 
@@ -238,7 +238,7 @@ class TestSampling:
             state = StateVector(n, raw / np.linalg.norm(raw))
             for seed in (0, 7, (3, 5), 2**40):
                 for shots in (1, 64, 1024):
-                    counts = sample_bitstrings(state, shots, seed)
+                    counts = sample_bitstrings(state.amps, shots, seed)
                     assert counts.dtype == np.int64 and counts.shape == (2**n,)
                     assert counts.sum() == shots
                     assert np.array_equal(local_magnetization_from_counts(counts),
@@ -246,7 +246,7 @@ class TestSampling:
 
     def test_counts_invalid_input(self):
         with pytest.raises(ValueError):
-            sample_bitstrings(StateVector(1, np.array([1.0, 1.0])), 8, 1)
+            sample_bitstrings(StateVector(1, np.array([1.0, 1.0])).amps, 8, 1)
 
 
 class TestFidelity:

@@ -46,6 +46,16 @@ class TestParams:
         with pytest.raises(ValueError):
             TfimParams(n_spins=3, coupling=0.0)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("coupling", float("nan"), "j must be finite, got nan"),
+        ("field", float("nan"), "g must be finite, got nan"),
+        ("field", float("-inf"), "g must be finite, got -inf"),
+        ("dt", float("inf"), "dt must be finite, got inf"),
+    ])
+    def test_non_finite_value_is_named(self, key, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TfimParams(n_spins=3, **{key: value})
+
     def test_bond_parity_n5(self):
         assert odd_bonds(5) == [(0, 1), (2, 3)]
         assert even_bonds(5) == [(1, 2), (3, 4)]
