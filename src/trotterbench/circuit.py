@@ -129,18 +129,12 @@ def encode(circuit: Circuit):
     Returns (kinds, qa, qb, theta, marks) where qa is the rotation qubit or
     CNOT control, qb the CNOT target (-1 for rotations).
     """
-    n = len(circuit.gates)
-    kinds = np.empty(n, dtype=np.int8)
-    qa = np.empty(n, dtype=np.int64)
-    qb = np.empty(n, dtype=np.int64)
-    theta = np.empty(n, dtype=np.float64)
-    for i, g in enumerate(circuit.gates):
-        kinds[i] = g.kind
-        qa[i] = g.q0
-        qb[i] = g.q1
-        theta[i] = g.theta
-    marks = np.asarray(circuit.step_marks, dtype=np.int64)
-    return kinds, qa, qb, theta, marks
+    gates = circuit.gates
+    return (np.array([g.kind for g in gates], dtype=np.int8),
+            np.array([g.q0 for g in gates], dtype=np.int64),
+            np.array([g.q1 for g in gates], dtype=np.int64),
+            np.array([g.theta for g in gates], dtype=np.float64),
+            np.asarray(circuit.step_marks, dtype=np.int64))
 
 
 def gate_counts(circuit: Circuit) -> dict:
@@ -149,19 +143,15 @@ def gate_counts(circuit: Circuit) -> dict:
     Returns {"total": {...}, "per_step": [{...}, ...], "n_gates": int}.
     Gates after the last step mark (if any) are counted in the total only.
     """
-    total = {"RX": 0, "RZ": 0, "CNOT": 0}
-    per_step = []
-    prev = 0
-    bounds = list(circuit.step_marks)
-    for g in circuit.gates:
-        total[g.name] += 1
-    for mark in bounds:
-        step = {"RX": 0, "RZ": 0, "CNOT": 0}
-        for g in circuit.gates[prev:mark]:
-            step[g.name] += 1
-        per_step.append(step)
-        prev = mark
-    return {"total": total, "per_step": per_step, "n_gates": len(circuit.gates)}
+    kinds = [g.kind for g in circuit.gates]
+
+    def tally(part):
+        return {name: part.count(kind) for kind, name in _KIND_NAMES.items()}
+
+    bounds = [0, *circuit.step_marks]
+    return {"total": tally(kinds),
+            "per_step": [tally(kinds[a:b]) for a, b in zip(bounds, bounds[1:])],
+            "n_gates": len(kinds)}
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:

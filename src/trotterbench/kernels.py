@@ -23,7 +23,8 @@ rotation qubit or CNOT control, `qb` the CNOT target. Pauli codes: 0=I, 1=X,
 2=Y, 3=Z. A fault code (one int8 per gate and trajectory) holds the Pauli
 applied to `qa` after the gate in bits 2-3 and the Pauli applied to `qb` in
 bits 0-1. Faults are sparse events: each one permutes the amplitudes of its
-own trajectory and multiplies them by a unit phase (+-1, +-i). Inside a fused
+own trajectory and multiplies them by a unit phase (+-1, +-i), both read by
+fault code from one cached table per qubit pair (`_pauli_table`). Inside a fused
 bond, a fault after the first CNOT or after the RZ is conjugated by the CNOT
 and applied before or after the phase respectively, so every amplitude meets
 its unit phases and its RZ factor in the order of the gate list; a fault
@@ -51,10 +52,9 @@ def _batch(amps: np.ndarray) -> np.ndarray:
 
 
 def _pair(amps, q):
-    """Views (2^n >> (q+1), 2^q, B) of the amplitudes of (2^n, B) `amps`
-    whose bit q is 0 and 1."""
-    v = amps.reshape(amps.shape[0] >> (q + 1), 2, 1 << q, amps.shape[1])
-    return v[:, 0], v[:, 1]
+    """View (2^n >> (q+1), 2, 2^q, B) of (2^n, B) `amps` whose axis 1 is
+    bit q of the basis index."""
+    return amps.reshape(amps.shape[0] >> (q + 1), 2, 1 << q, amps.shape[1])
 
 
 def _swap(x0, x1):
@@ -64,27 +64,28 @@ def _swap(x0, x1):
 
 
 def _rx_factors(theta):
-    """(c, i s, -i s) with c, s = cos, sin(theta / 2): the factors RX(theta)
+    """(c, -i s) with c, s = cos, sin(theta / 2): the factors RX(theta)
     multiplies by."""
     c = math.cos(theta / 2)
     s = math.sin(theta / 2)
-    return c, 1j * s, -1j * s
+    return c, -1j * s
 
 
 def _rx(amps, q, factors):
-    """RX by `_rx_factors`: scalars for every column, or (B,) arrays with
-    one angle per column."""
-    c, i_s, minus_i_s = factors
-    x0, x1 = _pair(amps, q)
-    new0 = c * x0 - i_s * x1
-    x1[...] = minus_i_s * x0 + c * x1
-    x0[...] = new0
+    """RX by `_rx_factors` (scalars for every column, or (B,) arrays with
+    one angle per column) in partner form: each amplitude becomes
+    c * itself + (-i s) * its partner across bit q."""
+    c, minus_i_s = factors
+    v = _pair(amps, q)
+    partner = minus_i_s * v[:, ::-1]
+    v *= c
+    v += partner
 
 
 def _rz(amps, q, theta):
-    x0, x1 = _pair(amps, q)
-    x0 *= np.exp(-0.5j * theta)
-    x1 *= np.exp(0.5j * theta)
+    v = _pair(amps, q)
+    v[:, 0] *= np.exp(-0.5j * theta)
+    v[:, 1] *= np.exp(0.5j * theta)
 
 
 def _cnot(amps, control, target):
@@ -130,8 +131,10 @@ def _angles(kinds, theta, columns):
     return angles
 
 
-# Both caches hold read-only arrays of 16 or 24 bytes per basis state: at
-# most 0.25 MB at n = 5 and 29 MB at the dense cap n = 12.
+# Both caches hold read-only arrays: a phase diagonal takes 16 bytes per
+# basis state, a Pauli table 384. At most 0.43 MB at n = 5 and 55 MB at the
+# dense cap n = 12. 32 tables hold every one a periodic chain of up to 8
+# spins uses; beyond that, noisy runs rebuild them once per block.
 @functools.lru_cache(maxsize=64)
 def _zz_phase(n_qubits, a, b, theta):
     """(2^n, 1) read-only diagonal of CNOT(a,b) RZ(b,theta) CNOT(a,b), with
@@ -143,29 +146,31 @@ def _zz_phase(n_qubits, a, b, theta):
     return phase[:, None]
 
 
-@functools.lru_cache(maxsize=256)
-def _pauli_map(n_qubits, a, b, code, conj):
-    """Read-only (src, phase) of the fault `code` on qubits (a, b),
-    conjugated by CNOT(*conj) when `conj` is given: the faulted state
-    becomes phase * state[src], with every phase one of +-1, +-i."""
+@functools.lru_cache(maxsize=32)
+def _pauli_table(n_qubits, a, b, conj):
+    """Read-only (src, phase), each (16, 2^n): row `code` is the fault
+    `code` on qubits (a, b), conjugated by CNOT(*conj) when `conj` is
+    given. The faulted state is phase[code] * state[src[code]], with every
+    phase one of +-1, +-i. For a rotation b is -1 and only the rows of
+    codes with bits 0-1 clear are meaningful."""
     k = np.arange(1 << n_qubits)
+    code = np.arange(16)[:, None]
+    paulis = [(q, pauli) for q, pauli in ((a, code >> 2), (b, code & 3)) if q >= 0]
 
     def cnot(x):
         return x if conj is None else x ^ (((x >> conj[0]) & 1) << conj[1])
 
-    paulis = [(q, pauli) for q, pauli in ((a, code >> 2), (b, code & 3)) if pauli]
-    flip = sum(1 << q for q, pauli in paulis if pauli != 3)  # X or Y
+    flip = sum(((pauli == 1) | (pauli == 2)) << q for q, pauli in paulis)  # X or Y
     # A CNOT is linear in the bits of the basis index, so the fault takes
     # |k> to |k ^ cnot(flip)>, with the factor its Paulis give the bits
     # cnot(k); for the gather, those are the bits cnot(j) ^ flip of j's source.
     bits = cnot(k) ^ flip
-    phase = np.ones(1 << n_qubits, dtype=np.complex128)
+    phase = np.ones((16, 1 << n_qubits), dtype=np.complex128)
     for q, pauli in paulis:
         one = ((bits >> q) & 1) == 1
-        if pauli == 2:  # Y|0> = i|1>, Y|1> = -i|0>
-            phase *= np.where(one, -1j, 1j)
-        elif pauli == 3:
-            phase *= np.where(one, -1.0, 1.0)
+        # Y|0> = i|1>, Y|1> = -i|0>; Z|1> = -|1>; I and X multiply by 1
+        phase *= np.where(pauli == 2, np.where(one, -1j, 1j),
+                          np.where((pauli == 3) & one, -1.0, 1.0))
     src = k ^ cnot(flip)
     src.flags.writeable = phase.flags.writeable = False
     return src, phase
@@ -214,10 +219,12 @@ def _run(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out):
         first = np.searchsorted(gate, np.arange(len(kinds) + 1)).tolist()
 
     def apply_faults(i, conj=None):
+        if first[i] == first[i + 1]:
+            return
+        src, phase = _pauli_table(n_qubits, qa[i], qb[i], conj)
         for e in range(first[i], first[i + 1]):
-            src, phase = _pauli_map(n_qubits, qa[i], qb[i], codes[e], conj)
             column = batch[:, col[e]]
-            np.multiply(phase, column[src], out=column)
+            np.multiply(phase[codes[e]], column[src[codes[e]]], out=column)
 
     signs = z_signs(n_qubits) if len(marks) else None
     start = 0

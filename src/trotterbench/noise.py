@@ -5,10 +5,18 @@ single-qubit gate a uniformly random X/Y/Z hits its qubit with probability
 p1, and after every CNOT one of the 15 non-identity two-qubit Paulis hits
 the gate's pair with probability p2. Averaging exact per-step expectations
 over many such trajectories reproduces the depolarizing-channel values.
+
+Trajectory t draws its faults from numpy's PCG64 stream seeded by
+SeedSequence((seed, t)), as `np.random.default_rng((seed, t))` would. The
+SeedSequence hash of a whole block of trajectories runs as one vectorized
+uint32 pass (`_seed_words`), and each trajectory's generator is built from
+its precomputed words, so the streams are numpy's own.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +55,14 @@ DEVICE_LIKE = NoiseParams(p1=0.002, p2=0.02, read01=0.02, read10=0.02)
 #: bounded by this many states whatever the trajectory count.
 TRAJECTORY_BLOCK = 256
 
+#: Most trajectories of one run: trajectory t's stream takes t as one
+#: uint32 word of SeedSequence entropy, so t < 2^32.
+MAX_TRAJECTORIES = 1 << 32
+
+#: Trajectories whose (2, n_gates) uniforms are held at once while a
+#: block's fault codes are computed.
+_DRAW_CHUNK = 32
+
 
 def noisy_execute(
     circuit: Circuit,
@@ -67,8 +83,8 @@ def noisy_execute(
     block of 256 at every n, and at n = 10 so do blocks of 2 and 44.
     Trajectories run in blocks of TRAJECTORY_BLOCK and are summed in order.
     """
-    if trajectories < 1:
-        raise ValueError(f"trajectories must be >= 1, got {trajectories}")
+    if not 1 <= trajectories <= MAX_TRAJECTORIES:
+        raise ValueError(f"trajectories must be in [1, 2**32], got {trajectories}")
     if circuit.n_qubits != initial.n_qubits:
         raise ValueError("circuit and state widths differ")
     kinds, qa, qb, theta, marks = encode(circuit)
@@ -105,13 +121,95 @@ def _fault_codes(kinds, noise: NoiseParams, rng_seed: int, block: range) -> np.n
     prob = np.where(cnot, noise.p2, noise.p1)
     n_paulis = np.where(cnot, 15.0, 3.0)
     shift = np.where(cnot, 0, 2)
-    codes = np.empty((len(kinds), len(block)), dtype=np.int8)
-    for col, t in enumerate(block):
-        rng = np.random.default_rng((rng_seed, t))
-        u, choice = rng.random((2, len(kinds)))
-        code = ((choice * n_paulis).astype(np.int8) + 1) << shift
-        codes[:, col] = np.where(u < prob, code, 0)
+    codes = np.zeros((len(kinds), len(block)), dtype=np.int8)
+    words = _seed_words(rng_seed, block)
+    stream = _stream_factory()
+    draws = np.empty((min(_DRAW_CHUNK, len(block)), 2, len(kinds)))
+    for first in range(0, len(block), len(draws)):
+        chunk = draws[:len(block) - first]
+        for row, out in zip(words[first:], chunk):
+            stream(row).random(out=out)
+        traj, gate = np.nonzero(chunk[:, 0] < prob)
+        choice = chunk[traj, 1, gate] * n_paulis[gate]
+        codes[gate, first + traj] = (choice.astype(np.int8) + 1) << shift[gate]
     return codes
+
+
+_MASK32 = 0xFFFFFFFF
+
+
+def _seed_words(rng_seed: int, block: range) -> np.ndarray:
+    """(len(block), 4) uint64: row i is
+    SeedSequence((rng_seed, block[i])).generate_state(4, np.uint64).
+
+    numpy's SeedSequence hash with its default pool of 4 words, run on
+    uint32 arrays over the block: the entropy of trajectory t is the 32-bit
+    words of rng_seed, least significant first, then t as one word.
+    """
+    rng_seed = operator.index(rng_seed)
+    if rng_seed < 0:
+        raise ValueError(f"seed must be >= 0, got {rng_seed}")
+    if block.stop > MAX_TRAJECTORIES:
+        raise ValueError(f"trajectory index must be < 2**32, got {block.stop - 1}")
+    seed_words = [rng_seed & _MASK32]
+    while rng_seed >> 32:
+        rng_seed >>= 32
+        seed_words.append(rng_seed & _MASK32)
+    t = np.arange(block.start, block.stop, dtype=np.uint32)
+    entropy = [np.full_like(t, w) for w in seed_words] + [t]
+    entropy += [np.zeros_like(t)] * (4 - len(entropy))  # hashed zeros fill the pool
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value *= hash_const
+        value ^= value >> 16
+        return value
+
+    def mix(x, y):
+        result = x * 0xCA01F9DD - y * 0x4973F715
+        result ^= result >> 16
+        return result
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = np.empty((len(t), 8), dtype=np.uint32)
+    hash_const = 0x8B51F9DD
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value *= hash_const
+        state[:, i] = value ^ (value >> 16)
+    # pairs of uint32 words, the low word first, as generate_state packs them
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _stream_factory():
+    """Function from a row of `_seed_words` to the Generator that
+    np.random.default_rng((seed, t)) builds. numpy.random is imported here,
+    on the first draw, not with the package."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """A SeedSequence whose generate_state(4, np.uint64) is precomputed."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for 4 uint64 words
+
+    return lambda words: Generator(PCG64(SeedWords(words)))
 
 
 def apply_readout_to_expectations(values: np.ndarray, noise: NoiseParams) -> np.ndarray:

@@ -5,6 +5,7 @@ comparisons, step-size scaling, and deterministic file output."""
 
 import dataclasses
 import json
+import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -17,6 +18,7 @@ from .circuit import MAX_DENSE_SPINS, Circuit, circuit_unitary, encode, gate_cou
 from .exact import chain_spectrum, exact_series
 from .kernels import run_gates, run_gates_record
 from .noise import (
+    MAX_TRAJECTORIES,
     NoiseParams,
     apply_readout_to_expectations,
     noisy_execute,
@@ -85,6 +87,9 @@ class RunConfig:
             )
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if not math.isfinite(self.steps * self.dt):
+            raise ValueError(f"dt={self.dt} with steps={self.steps} gives a "
+                             "non-finite time steps*dt")
         if self.mode != "noisy" and not noise.is_zero():
             raise ValueError(
                 "p1, p2, read01 and read10 apply only in noisy mode; "
@@ -92,8 +97,8 @@ class RunConfig:
             )
         if self.mode == "shots" and self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if self.mode == "noisy" and self.traj < 1:
-            raise ValueError(f"traj must be >= 1, got {self.traj}")
+        if self.mode == "noisy" and not 1 <= self.traj <= MAX_TRAJECTORIES:
+            raise ValueError(f"traj must be in [1, 2**32], got {self.traj}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

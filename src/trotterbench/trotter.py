@@ -41,6 +41,11 @@ class TfimParams:
         for key, value in (("j", self.coupling), ("g", self.field), ("dt", self.dt)):
             if not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value}")
+        # the largest rotation angles of a step, as the step builders compute them
+        for key, value in (("j", self.coupling), ("g", self.field)):
+            if not math.isfinite(2.0 * abs(value) * self.dt):
+                raise ValueError(f"dt={self.dt} with {key}={value} gives a "
+                                 f"non-finite rotation angle 2*|{key}|*dt")
 
 
 def chain_bonds(n_spins: int, periodic: bool = False) -> list[tuple[int, int]]:

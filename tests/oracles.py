@@ -96,3 +96,22 @@ def naive_circuit_unitary(circuit):
 def two_qubit_pauli(a, b, qa, qb, n):
     """Pauli indices a, b in 0..3 (I, X, Y, Z) on qubits qa, qb."""
     return kron_at(PAULIS[a], qa, n) @ kron_at(PAULIS[b], qb, n)
+
+
+def fault_codes_per_trajectory(kinds, p1, p2, rng_seed, block):
+    """Fault codes (n_gates, len(block)) drawn one trajectory at a time:
+    trajectory t builds np.random.default_rng((rng_seed, t)) and draws u and
+    choice, one uniform each per gate. A rotation faults when u < p1 with
+    Pauli int(choice * 3) + 1 in bits 2-3; a CNOT (kind 2) faults when
+    u < p2 with the two-qubit Pauli int(choice * 15) + 1."""
+    cnot = kinds == 2
+    prob = np.where(cnot, p2, p1)
+    n_paulis = np.where(cnot, 15.0, 3.0)
+    shift = np.where(cnot, 0, 2)
+    codes = np.empty((len(kinds), len(block)), dtype=np.int8)
+    for col, t in enumerate(block):
+        rng = np.random.default_rng((rng_seed, t))
+        u, choice = rng.random((2, len(kinds)))
+        code = ((choice * n_paulis).astype(np.int8) + 1) << shift
+        codes[:, col] = np.where(u < prob, code, 0)
+    return codes

@@ -17,6 +17,7 @@ from trotterbench import (
     symmetric_step,
 )
 from trotterbench import kernels
+from trotterbench.circuit import encode
 from trotterbench.statevector import StateVector
 
 from oracles import naive_circuit_unitary
@@ -186,3 +187,35 @@ class TestGateCounts:
         assert len(counts["per_step"]) == 2
         for kind in ("RX", "RZ", "CNOT"):
             assert sum(s[kind] for s in counts["per_step"]) == counts["total"][kind]
+
+    def test_trailing_gates_count_in_total_only_in_kind_order(self):
+        circ = Circuit(3)
+        circ.append(cnot(0, 1)).append(rx(2, 0.1)).mark_step()
+        circ.append(rz(1, 0.2)).append(rz(0, 0.3)).mark_step()
+        circ.append(rx(0, 0.4))
+        counts = gate_counts(circ)
+        assert list(counts) == ["total", "per_step", "n_gates"]
+        assert list(counts["total"].items()) == [("RX", 2), ("RZ", 2), ("CNOT", 1)]
+        assert counts["per_step"] == [{"RX": 1, "RZ": 0, "CNOT": 1},
+                                      {"RX": 0, "RZ": 2, "CNOT": 0}]
+        assert all(list(step) == ["RX", "RZ", "CNOT"] for step in counts["per_step"])
+        assert counts["n_gates"] == 5
+
+
+class TestEncode:
+    def test_fields_and_dtypes(self):
+        circ = Circuit(3)
+        circ.append(rx(2, -0.7)).append(cnot(0, 1)).mark_step().append(rz(1, 1e-300)).mark_step()
+        kinds, qa, qb, theta, marks = encode(circ)
+        assert [a.dtype for a in (kinds, qa, qb, theta, marks)] == [
+            np.int8, np.int64, np.int64, np.float64, np.int64]
+        assert kinds.tolist() == [0, 2, 1]
+        assert qa.tolist() == [2, 0, 1]
+        assert qb.tolist() == [-1, 1, -1]
+        assert theta.tolist() == [-0.7, 0.0, 1e-300]
+        assert marks.tolist() == [2, 3]
+
+    def test_empty(self):
+        encoded = encode(Circuit(2))
+        assert [a.shape for a in encoded] == [(0,)] * 5
+        assert [a.dtype for a in encoded] == [np.int8, np.int64, np.int64, np.float64, np.int64]

@@ -51,7 +51,10 @@ recorded while the sector blocks were built from bit arithmetic, before
 they became slices of `build_hamiltonian`; with two OpenBLAS threads in
 place of one during the sector solves, both of its hashes change. The
 multi-g shots sweep and the periodic compare were recorded while every g
-ran as its own single-state run, before a g-list became one block.
+ran as its own single-state run, before a g-list became one block. The two
+paper-size noisy runs were recorded while every trajectory built its own
+`default_rng((seed, t))`, before a block's seeds were hashed in one
+vectorized pass, and while RX ran as a two-row update.
 """
 
 import hashlib
@@ -119,6 +122,20 @@ class TestGoldenOutputs:
         "compare_periodic": (
             ["compare", "--n", "4", "--steps", "4", "--periodic", "--g-list", "0.5,1,2"],
             {"compare.csv": "44cc002928777901fbe78eedab2d56aefbc30f0879146c4ac75837b23aa82494"},
+        ),
+        # the benchmark's paper-size noisy runs: a full 256-trajectory block
+        # of device-like faults per order
+        "noisy_n5_first": (
+            ["run", "--n", "5", "--g", "2", "--dt", "0.2", "--steps", "20", "--mode", "noisy",
+             "--traj", "256", "--seed", "3", "--order", "first"],
+            {"series.csv": "f3aece566a844155cb77192e51761fedafed3f65b3bbe66d7b11b2e1a90154cf",
+             "totals.csv": "4b58acd3fb61f96d8471da6044c0884bfec1eae370f76768f4201fdd0239f486"},
+        ),
+        "noisy_n5_sym2": (
+            ["run", "--n", "5", "--g", "2", "--dt", "0.2", "--steps", "20", "--mode", "noisy",
+             "--traj", "256", "--seed", "3", "--order", "sym2"],
+            {"series.csv": "c021f54b89358b92fbb90015e424cc9295146fedc6df1a0cbe8147389ec44f0e",
+             "totals.csv": "82b7214dc7f85f481cae3f8e9159c01d8bb457fda11ffb711769bb2029bf94af"},
         ),
         # the dense step unitaries of circuit_unitary, wrap bond included
         "scaling": (

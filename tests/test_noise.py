@@ -16,9 +16,22 @@ from trotterbench import (
 )
 from trotterbench.circuit import Circuit, cnot, encode, rx, rz
 from trotterbench.kernels import run_gates_noisy, run_gates_record
-from trotterbench.noise import TRAJECTORY_BLOCK, apply_readout_to_expectations
+from trotterbench import noise as noise_module
+from trotterbench.noise import (
+    DEVICE_LIKE,
+    TRAJECTORY_BLOCK,
+    _fault_codes,
+    _seed_words,
+    apply_readout_to_expectations,
+)
 
-from oracles import PAULIS, gate_full_matrix, kron_at, two_qubit_pauli
+from oracles import (
+    PAULIS,
+    fault_codes_per_trajectory,
+    gate_full_matrix,
+    kron_at,
+    two_qubit_pauli,
+)
 
 
 class TestNoiseParams:
@@ -173,6 +186,66 @@ class TestNoisyExecute:
         circ.append(cnot(0, 1)).mark_step()
         with pytest.raises(ValueError):
             noisy_execute(circ, all_down_state(2), NoiseParams(), 0, 1)
+
+
+class TestFaultStreams:
+    """Every block's fault codes are those of the per-trajectory streams
+    np.random.default_rng((seed, t)), drawn with the SeedSequence hash of
+    the whole block precomputed."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**32, 2**64 + 7, 2**200 + 12345])
+    @pytest.mark.parametrize("block", [range(0, 256), range(256, 300), range(5, 6),
+                                       range(2**32 - 3, 2**32)])
+    def test_seed_words_are_seed_sequence_state(self, seed, block):
+        words = _seed_words(seed, block)
+        expected = np.array([np.random.SeedSequence((seed, t)).generate_state(4, np.uint64)
+                             for t in block])
+        assert words.dtype == np.uint64
+        assert words.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("noise", [NoiseParams(), DEVICE_LIKE, NoiseParams(p1=1.0, p2=1.0)],
+                             ids=["zero", "device", "one"])
+    @pytest.mark.parametrize("n_gates", [1, 340, 560])
+    def test_codes_equal_per_trajectory_streams(self, noise, n_gates):
+        if n_gates == 1:
+            kinds = np.array([2], dtype=np.int8)
+        else:
+            order = TrotterOrder.FIRST if n_gates == 340 else TrotterOrder.SYMMETRIC
+            circ = build_evolution_circuit(TfimParams(n_spins=5, field=2.0), 20, order)
+            kinds = encode(circ)[0]
+        assert len(kinds) == n_gates
+        for seed, block in ((3, range(0, 256)), (2**70, range(256, 300))):
+            got = _fault_codes(kinds, noise, seed, block)
+            expected = fault_codes_per_trajectory(kinds, noise.p1, noise.p2, seed, block)
+            assert got.dtype == np.int8
+            assert got.tobytes() == expected.tobytes()
+
+    def test_single_rotation_codes(self):
+        kinds = np.array([0], dtype=np.int8)
+        got = _fault_codes(kinds, NoiseParams(p1=1.0), 9, range(40))
+        np.testing.assert_array_equal(got, fault_codes_per_trajectory(kinds, 1.0, 0.0, 9, range(40)))
+        assert set(got.ravel().tolist()) == {4, 8, 12}
+
+    def test_negative_seed_is_refused_like_seed_sequence(self):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence((-1, 0))
+        with pytest.raises(ValueError):
+            _seed_words(-1, range(3))
+        with pytest.raises(ValueError):
+            _seed_words(-(2**40), range(3))
+
+    def test_trajectory_index_beyond_one_word_is_refused_before_any_draw(self, monkeypatch):
+        with pytest.raises(ValueError):
+            _seed_words(3, range(2**32 - 1, 2**32 + 1))
+
+        def draw(*args):
+            raise AssertionError("drew faults before refusing the trajectory count")
+
+        monkeypatch.setattr(noise_module, "_fault_codes", draw)
+        circ = Circuit(2)
+        circ.append(cnot(0, 1)).mark_step()
+        with pytest.raises(ValueError, match=r"2\*\*32"):
+            noisy_execute(circ, all_down_state(2), DEVICE_LIKE, 2**32 + 1, 3)
 
 
 class TestReadoutError:

@@ -8,10 +8,11 @@ cases and the suite stays deterministic.
 """
 
 import json
+import math
 import string
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trotterbench import (
@@ -41,7 +42,8 @@ paths = st.text(alphabet=string.printable + "é€")
 @st.composite
 def valid_configs(draw):
     """Configs the CLI accepts from a file: shots only in shots mode, traj
-    and nonzero noise rates only in noisy mode."""
+    and nonzero noise rates only in noisy mode, and a time grid and
+    rotation angles that stay finite."""
     mode = draw(st.sampled_from(MODES))
     values = {
         "n": draw(st.integers(2, 12)),
@@ -55,6 +57,9 @@ def valid_configs(draw):
         "seed": draw(st.integers(0, 2**63)),
         "out": draw(st.none() | paths),
     }
+    dt = values["dt"]
+    assume(all(math.isfinite(x) for x in (values["steps"] * dt, 2.0 * abs(values["j"]) * dt,
+                                          2.0 * abs(values["g"]) * dt)))
     if mode == "shots":
         values["shots"] = draw(st.integers(1, 10**9))
     if mode == "noisy":

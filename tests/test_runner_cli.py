@@ -4,11 +4,15 @@ import dataclasses
 import errno
 import json
 import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trotterbench
 from trotterbench import (
     DEVICE_LIKE,
     NoiseParams,
@@ -316,6 +320,13 @@ class TestCli:
         (["compare", "--g-list", "1,inf"], None, "g"),
         (["scaling", "--dt-list", "0.1,0.2,-0.3"], None, "dt"),
         (["run", "--j", "nan"], None, "j"),
+        # finite values whose times or rotation angles overflow
+        (["run", "--n", "3", "--steps", "2", "--dt", "1e308"], None, "dt"),
+        (["scaling", "--dt-list", "1e308,1e307,1e306"], None, "dt"),
+        (["run", "--g", "0", "--dt", "1e308", "--steps", "1"], None, "dt"),
+        (["run", "--g", "1e308", "--steps", "1"], None, "g"),
+        (["run", "--steps", "20", "--dt", "1e307"], None, "steps"),
+        (["run", "--mode", "noisy", "--traj", str(2**32 + 1)], None, "traj"),
     ])
     def test_value_the_mode_ignores_exit_2_before_any_work(
         self, argv, file_values, key, tmp_path, monkeypatch, capsys
@@ -523,3 +534,17 @@ class TestCli:
 
 def test_active_backend_is_the_numpy_engine():
     assert active_backend() == "numpy"
+
+
+def test_cli_setup_leaves_numpy_random_unimported():
+    # numpy.random takes about 10 ms to import; shots and noisy runs import
+    # it on their first draw, so a CLI process that only parses never does
+    src = Path(trotterbench.__file__).resolve().parents[1]
+    code = ("import sys, trotterbench.cli\n"
+            "trotterbench.cli.build_parser()\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
