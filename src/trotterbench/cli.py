@@ -22,6 +22,7 @@ from .noise import DEVICE_LIKE
 from .runner import (
     CONFIG_KEYS,
     RunConfig,
+    check_mode_keys,
     compare_command,
     compare_table,
     csv_text,
@@ -33,9 +34,6 @@ from .runner import (
     sweep_command,
     sweep_table,
 )
-
-#: Config keys that only one mode reads, and that mode.
-_MODE_KEYS = {"shots": "shots", "traj": "noisy"}
 
 #: The noise rates' defaults in noisy mode: the device-like calibration.
 _NOISY_DEFAULTS = dataclasses.asdict(DEVICE_LIKE)
@@ -132,10 +130,7 @@ def merge_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
         if key in merged:
             raise ValueError(f"{args.command} would ignore {key}")
     mode = merged.get("mode", RunConfig.mode)
-    for key, needs in _MODE_KEYS.items():
-        if key in merged and mode != needs:
-            raise ValueError(f"{key} applies only in {needs} mode; "
-                             f"{mode} mode would ignore it")
+    check_mode_keys(merged, mode)  # a mode's key, given even at its default
     if mode == "noisy":
         for key, value in _NOISY_DEFAULTS.items():
             merged.setdefault(key, value)

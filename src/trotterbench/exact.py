@@ -3,7 +3,8 @@ propagator, and continuous-time magnetization series (the Trotter-error-free
 baseline the circuits are compared against). The open chain's series comes
 from free fermions (`fermion`); the periodic chain's from the dense spin-flip
 sectors, which also serve `scaling` and are the open chain's test oracle.
-The sector blocks are slices of the one dense H of `build_hamiltonian`."""
+`sector_blocks` is the one rule that slices a spin-flip-symmetric matrix,
+the dense H or a Trotter step, into its two sector blocks."""
 
 from __future__ import annotations
 
@@ -18,13 +19,12 @@ from . import fermion
 from .circuit import MAX_DENSE_SPINS
 from .kernels import z_signs
 from .observables import MagnetizationSeries
-from .statevector import all_down_state
 from .trotter import TfimParams, chain_bonds
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition of a Hermitian operator, eigenvalues ascending."""
+    """Eigendecomposition of a real symmetric operator, eigenvalues ascending."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -35,12 +35,10 @@ class Spectrum:
         return (v * np.exp(-1j * self.eigenvalues * t)) @ v.conj().T
 
     def evolve(self, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """exp(-i H t) psi0 for every t of `times`, shape (dim, times). A real
-        V (every spectrum of a real H) takes real matrix products only."""
+        """exp(-i H t) psi0 for every t of `times`, shape (dim, times). V is
+        real (`spectrum` takes a real H), so only real matrix products run."""
         v = self.eigenvectors
         phases = np.exp(-1j * np.outer(self.eigenvalues, times))
-        if np.iscomplexobj(v):
-            return v @ ((v.conj().T @ psi0)[:, None] * phases)
         c = v.T @ psi0.real + 1j * (v.T @ psi0.imag)
         coeffs = c[:, None] * phases
         psi = np.empty(coeffs.shape, dtype=np.complex128)
@@ -73,9 +71,12 @@ def build_hamiltonian(params: TfimParams, periodic: bool = False) -> np.ndarray:
 
 
 def spectrum(h: np.ndarray) -> Spectrum:
-    # max |h - h^dagger| <= 1e-12, and a NaN fails; one temporary, where
+    """Spectrum of a real symmetric H; every H of the chain is real."""
+    if np.iscomplexobj(h):
+        raise ValueError(f"operator is complex ({h.dtype}); spectrum takes a real symmetric H")
+    # max |h - h^T| <= 1e-12, and a NaN fails; one temporary, where
     # np.allclose would make several of the full size
-    if not np.abs(h - h.conj().T).max() <= 1e-12:
+    if not np.abs(h - h.T).max() <= 1e-12:
         raise ValueError("operator is not Hermitian")
     evals, evecs = np.linalg.eigh(h)
     return Spectrum(evals, evecs)
@@ -88,30 +89,12 @@ class ParitySpectrum:
 
     P maps basis index x to x XOR (2^n - 1). Each r < 2^(n-1) (bit n-1
     clear) pairs with its flip rbar = 2^n - 1 - r, and the states
-    (|r> +- |rbar>)/sqrt(2) span the P = +-1 sectors. In them H is block
-    diagonal with blocks H+- = A +- B, where A = H[r, r] and B = H[r, rbar];
-    `even` and `odd` are their spectra.
+    (|r> +- |rbar>)/sqrt(2) span the P = +-1 sectors. `even` and `odd` are
+    the spectra of H's blocks in them (`sector_blocks`).
     """
 
     even: Spectrum
     odd: Spectrum
-
-    def propagator(self, t: float) -> np.ndarray:
-        """exp(-i H t) on the full space, assembled from the sector blocks:
-        <r|U|r'> = <rbar|U|rbar'> = (U+ + U-)/2 and
-        <r|U|rbar'> = <rbar|U|r'> = (U+ - U-)/2."""
-        plus = self.even.propagator(t)
-        minus = self.odd.propagator(t)
-        same = (plus + minus) / 2
-        cross = (plus - minus) / 2
-        half = same.shape[0]
-        u = np.empty((2 * half, 2 * half), dtype=np.complex128)
-        # rbar runs over the upper half of the indices in reverse order
-        u[:half, :half] = same
-        u[:half, half:] = cross[:, ::-1]
-        u[half:, :half] = cross[::-1]
-        u[half:, half:] = same[::-1, ::-1]
-        return u
 
 
 @functools.cache
@@ -169,20 +152,21 @@ def _read_only(spec: Spectrum) -> Spectrum:
     return spec
 
 
-def _sector_blocks(params: TfimParams, periodic: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The blocks H+- = A +- B of `ParitySpectrum`, as slices of
-    `build_hamiltonian`: A = H[r, r] and B = H[r, rbar] for r < 2^(n-1).
-    The full H is freed on return, before either block is solved."""
-    h = build_hamiltonian(params, periodic)
-    half = h.shape[0] // 2
-    a, b = h[:half, :half], h[:half, :half - 1:-1]  # rbar = 2^n - 1 - r
+def sector_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The P = +1 and P = -1 blocks A + B and A - B, in the sector bases of
+    `ParitySpectrum`, of a 2^n x 2^n matrix M that commutes with P:
+    A = M[r, r'] and B = M[r, r'bar] for r, r' < 2^(n-1). The rows rbar
+    repeat them (M[rbar, r'bar] = A, M[rbar, r'] = B) and are not read."""
+    half = m.shape[0] // 2
+    a, b = m[:half, :half], m[:half, :half - 1:-1]  # rbar = 2^n - 1 - r
     return a + b, a - b
 
 
 @functools.lru_cache(maxsize=1)
 def _chain_spectrum(n_spins: int, coupling: float, field: float, periodic: bool) -> ParitySpectrum:
     params = TfimParams(n_spins=n_spins, coupling=coupling, field=field)
-    h_even, h_odd = _sector_blocks(params, periodic)
+    # the full H is freed when sector_blocks returns, before either solve
+    h_even, h_odd = sector_blocks(build_hamiltonian(params, periodic))
     # `spectrum` is looked up in this module at call time, so code that
     # rebinds exact.spectrum (a counter, a tracer) sees every solve.
     # Every caller shares the cached arrays.
@@ -235,13 +219,13 @@ def sector_series(params: TfimParams, times: np.ndarray, periodic: bool = False)
     shape (times, n). It serves the periodic chain, and for the open chain
     it is the dense oracle of the free-fermion series."""
     spec = chain_spectrum(params, periodic)
-    psi0 = all_down_state(params.n_spins).amps
-    half = psi0.shape[0] // 2
-    flipped = psi0[:half - 1:-1]  # amplitude of rbar = 2^n - 1 - r at r
-    even = spec.even.evolve((psi0[:half] + flipped) / np.sqrt(2), times)
-    odd = spec.odd.evolve((psi0[:half] - flipped) / np.sqrt(2), times)
+    # all-down |2^n - 1> is rbar for r = 0: +-1/sqrt(2) on r = 0 in the two sectors
+    even_0, odd_0 = np.zeros((2, 1 << (params.n_spins - 1)))
+    even_0[0], odd_0[0] = 1 / np.sqrt(2), -1 / np.sqrt(2)
+    even = spec.even.evolve(even_0, times)
+    odd = spec.odd.evolve(odd_0, times)
     # psi(r) = (even + odd)/sqrt(2) and psi(rbar) = (even - odd)/sqrt(2), and
     # Z_j flips sign between r and rbar, so
     # <Z_j> = sum_r (p(r) - p(rbar)) s_j(r) with p(r) - p(rbar) = 2 Re(even odd*)
     diff = 2.0 * (even.real * odd.real + even.imag * odd.imag)  # (2^(n-1), times)
-    return diff.T @ z_signs(params.n_spins)[:half]
+    return diff.T @ z_signs(params.n_spins)[:len(diff)]

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .circuit import MAX_DENSE_SPINS, Circuit, circuit_unitary, encode, gate_counts
-from .exact import chain_spectrum, exact_series
+from .exact import ParitySpectrum, chain_spectrum, exact_series, sector_blocks
 from .kernels import run_gates, run_gates_record
 from .noise import (
     MAX_TRAJECTORIES,
@@ -37,6 +37,16 @@ MODES = ("ideal", "shots", "noisy")
 
 #: Denominators below this are reported as the "NA" ratio sentinel.
 ZERO_RMSE = 1e-12
+
+#: Config keys that only one mode reads, and that mode.
+MODE_KEYS = {"shots": "shots", "traj": "noisy"}
+
+
+def check_mode_keys(keys, mode: str) -> None:
+    """Refuse a key of `keys` that `mode` does not read (`MODE_KEYS`)."""
+    for key, needs in MODE_KEYS.items():
+        if key in keys and mode != needs:
+            raise ValueError(f"{key} applies only in {needs} mode; {mode} mode would ignore it")
 
 
 def _key(default, help: str, choices: tuple | None = None):
@@ -95,6 +105,8 @@ class RunConfig:
                 "p1, p2, read01 and read10 apply only in noisy mode; "
                 f"{self.mode} mode would ignore them"
             )
+        check_mode_keys({k for k in MODE_KEYS if getattr(self, k) != getattr(RunConfig, k)},
+                        self.mode)
         if self.mode == "shots" and self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
         if self.mode == "noisy" and not 1 <= self.traj <= MAX_TRAJECTORIES:
@@ -255,12 +267,17 @@ def _g_configs(base: RunConfig, g_values) -> list[RunConfig]:
 
 def sweep_command(base: RunConfig, g_values) -> list[RunResult]:
     """One run per transverse-field value, everything else shared, all g
-    simulated as one block. Every g is checked before the first run."""
+    simulated as one block. Before the first run every g is checked, and
+    with `out` two g that would share a `g_<g>` directory are refused."""
     g_values = list(g_values)
-    results = _run_block(_g_configs(base, g_values))
+    configs = _g_configs(base, g_values)
+    names = [f"g_{fmt(c.g)}" for c in configs]
+    if base.out is not None and len(set(names)) < len(names):
+        raise ValueError(f"g values {g_values} would share output directories {names}")
+    results = _run_block(configs)
     if base.out is not None:
-        for g, result in zip(g_values, results):
-            write_run(result, Path(base.out) / f"g_{fmt(g)}")
+        for name, result in zip(names, results):
+            write_run(result, Path(base.out) / name)
         _write_csv(Path(base.out) / "sweep.csv", *sweep_table(g_values, results))
     return results
 
@@ -295,8 +312,9 @@ def compare_command(base: RunConfig, g_values) -> list[dict]:
 
 def scaling_command(base: RunConfig, dt_values) -> list[dict]:
     """Single-step operator-norm error vs the exact propagator per order,
-    fitted to a log-log slope; "degenerate" when the errors vanish. Every
-    dt is checked before the eigensolves."""
+    fitted to a log-log slope; "degenerate" when the smallest error is below
+    1e-14, as a fit through a point at the roundoff floor reads roundoff,
+    not the order. Every dt is checked before the eigensolves."""
     dt_values = [float(dt) for dt in dt_values]
     if len(set(dt_values)) < 3:
         raise ValueError(f"need at least 3 distinct dt values for a slope fit, got {dt_values}")
@@ -304,19 +322,21 @@ def scaling_command(base: RunConfig, dt_values) -> list[dict]:
     spec = chain_spectrum(base.tfim, base.periodic)
     rows = []
     for order in (TrotterOrder.FIRST, TrotterOrder.SYMMETRIC):
-        errs = []
-        for params in step_params:
-            u_step = circuit_unitary(build_evolution_circuit(params, 1, order, base.periodic))
-            u_exact = spec.propagator(params.dt)
-            errs.append(float(np.linalg.norm(u_step - u_exact, 2)))
-        if min(errs) < 1e-14:
-            rows.append({"order": order.value, "slope": "degenerate", "errors": errs})
-        else:
-            slope, _ = scaling_fit(dt_values, errs)
-            rows.append({"order": order.value, "slope": slope, "errors": errs})
+        errs = [_step_error(spec, params, order, base.periodic) for params in step_params]
+        slope = "degenerate" if min(errs) < 1e-14 else scaling_fit(dt_values, errs)[0]
+        rows.append({"order": order.value, "slope": slope, "errors": errs})
     if base.out is not None:
         _write_csv(Path(base.out) / "scaling.csv", *scaling_table(rows))
     return rows
+
+
+def _step_error(spec: ParitySpectrum, params: TfimParams, order: TrotterOrder, periodic: bool):
+    """||U_step - exp(-iH dt)||_2 of one Trotter step. Both unitaries commute
+    with the spin flip, so it is the larger norm of the two sector blocks of
+    their difference. The full U_step is freed before the norms."""
+    blocks = sector_blocks(circuit_unitary(build_evolution_circuit(params, 1, order, periodic)))
+    return max(float(np.linalg.norm(block - sector.propagator(params.dt), 2))
+               for block, sector in zip(blocks, (spec.even, spec.odd)))
 
 
 # ------------------------------------------------------------------ output

@@ -42,6 +42,55 @@ def naive_hamiltonian(n, coupling, field, periodic=False):
     return h
 
 
+def spin_flip(n):
+    """P = prod_j X_j from kron products, independent of the index trick."""
+    return kron_sites({j: SX for j in range(n)}, n)
+
+
+def sector_projection(m, sign):
+    """Q^dagger M Q for the P = sign sector: the columns of Q are
+    (I + sign P) e_r / sqrt(2) = (|r> + sign P|r>)/sqrt(2) for r < 2^(n-1),
+    with P from `spin_flip`."""
+    dim = m.shape[0]
+    q = (np.eye(dim) + sign * spin_flip(dim.bit_length() - 1))[:, :dim // 2] / np.sqrt(2)
+    return q.conj().T @ m @ q
+
+
+def naive_trotter_step(n, coupling, field, dt, order, periodic=False):
+    """One Trotter step from the exact exponentials of its layers, each a
+    sum of commuting terms: "first" applies the X layer, then the odd
+    bonds, then the even bonds (1-based bond index, wrap bond last); "sym2"
+    applies X/2, odd/2, even, odd/2, X/2. An X layer is the kron product of
+    exp(i g tau X); a bond layer is diagonal, exp(i J tau sum Z_a Z_b)."""
+    bonds = [(i, i + 1) for i in range(n - 1)] + ([(n - 1, 0)] if periodic else [])
+
+    def x_layer(tau):
+        return kron_sites({j: expm_hermitian(-field * SX, tau) for j in range(n)}, n)
+
+    def bond_phases(layer, tau):  # the diagonal of the bond layer, as a column
+        zz = np.zeros(2**n)
+        for a, b in layer:
+            zz += np.diag(kron_sites({a: SZ, b: SZ}, n)).real
+        return np.exp(1j * coupling * tau * zz)[:, None]
+
+    odd, even = bonds[0::2], bonds[1::2]
+    if order == "first":
+        return bond_phases(even, dt) * (bond_phases(odd, dt) * x_layer(dt))
+    half_x, half_odd = x_layer(dt / 2), bond_phases(odd, dt / 2)
+    return half_x @ (half_odd * (bond_phases(even, dt) * (half_odd * half_x)))
+
+
+def naive_step_errors(n, coupling, field, dts, periodic=False):
+    """{order: [||U_step - exp(-i H dt)||_2 for dt in dts]} on the full 2^n
+    space, with U_step from `naive_trotter_step` and H from
+    `naive_hamiltonian`."""
+    h = naive_hamiltonian(n, coupling, field, periodic)
+    exact = [expm_hermitian(h, dt) for dt in dts]
+    return {order: [np.linalg.norm(naive_trotter_step(n, coupling, field, dt, order, periodic)
+                                   - u, 2) for dt, u in zip(dts, exact)]
+            for order in ("first", "sym2")}
+
+
 def expm_hermitian(h, t):
     """exp(-i h t) via eigendecomposition of a Hermitian matrix."""
     evals, evecs = np.linalg.eigh(h)

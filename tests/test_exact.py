@@ -15,15 +15,16 @@ from trotterbench import (
 from trotterbench import exact, fermion
 from trotterbench.exact import chain_spectrum, sector_series, spectrum
 
-from oracles import SX, SZ, evolve_hermitian, expm_hermitian, kron_at, naive_hamiltonian
-
-
-def spin_flip(n):
-    """P = prod_j X_j from kron products, independent of the index trick."""
-    p = np.eye(2**n, dtype=complex)
-    for j in range(n):
-        p = kron_at(SX, j, n) @ p
-    return p
+from oracles import (
+    SX,
+    SZ,
+    evolve_hermitian,
+    expm_hermitian,
+    kron_at,
+    naive_hamiltonian,
+    sector_projection,
+    spin_flip,
+)
 
 
 def z_oracle(n):
@@ -80,6 +81,12 @@ class TestSpectrum:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("h", [np.array([[0.0, 1j], [-1j, 0.0]]), np.eye(2, dtype=complex)])
+    def test_rejects_complex_input(self, h):
+        # Hermitian or not, and even with a zero imaginary part
+        with pytest.raises(ValueError, match="complex"):
+            spectrum(h)
 
     def test_chain_spectrum_is_read_only(self):
         spec = chain_spectrum(TfimParams(n_spins=3, field=1.3))
@@ -185,31 +192,29 @@ class TestSpinFlipParity:
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     @pytest.mark.parametrize("periodic", [False, True])
     def test_chain_propagator_matches_oracle_and_is_unitary(self, n, periodic):
+        # each sector's propagator is the kron oracle's exp(-iHt) projected
+        # onto that sector with the kron-built P
         for field in (0.0, 1.0, 2.5):
-            params = TfimParams(n_spins=n, field=field)
+            spec = chain_spectrum(TfimParams(n_spins=n, field=field), periodic)
             h = naive_hamiltonian(n, 1.0, field, periodic)
             for t in (0.0, 0.2, 1.7):
-                u = chain_spectrum(params, periodic).propagator(t)
-                msg = f"g={field} t={t}"
-                np.testing.assert_allclose(u, expm_hermitian(h, t), rtol=0,
-                                           atol=1e-13, err_msg=msg)
-                np.testing.assert_allclose(u.conj().T @ u, np.eye(2**n), rtol=0,
-                                           atol=1e-13, err_msg=msg)
+                u_full = expm_hermitian(h, t)
+                for sign, sector in ((1, spec.even), (-1, spec.odd)):
+                    u = sector.propagator(t)
+                    msg = f"g={field} t={t} P={sign}"
+                    np.testing.assert_allclose(u, sector_projection(u_full, sign), rtol=0,
+                                               atol=1e-13, err_msg=msg)
+                    np.testing.assert_allclose(u.conj().T @ u, np.eye(2 ** (n - 1)), rtol=0,
+                                               atol=1e-13, err_msg=msg)
 
 
 class TestExactPropagator:
-    @pytest.mark.parametrize("complex_h", [False, True])
-    def test_evolve_is_the_propagator_on_every_time(self, complex_h):
-        # a real H takes evolve's real products, a complex one its complex path
+    def test_evolve_is_the_propagator_on_every_time(self):
         rng = np.random.default_rng(5)
         h = build_hamiltonian(TfimParams(n_spins=3, field=1.3))
-        if complex_h:
-            a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-            h = h + (a + a.conj().T) / 4
         psi0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         psi0 /= np.linalg.norm(psi0)
         spec = spectrum(h)
-        assert np.iscomplexobj(spec.eigenvectors) == complex_h
         times = np.array([0.0, 0.4, 1.7])
         expected = np.stack([spec.propagator(t) @ psi0 for t in times], axis=1)
         np.testing.assert_allclose(spec.evolve(psi0, times), expected, rtol=0, atol=1e-12)
@@ -233,7 +238,7 @@ class TestExactPropagator:
     def test_single_spin_rabi_rotation(self):
         # H = -g sx on one spin: exp(-iHt) = cos(gt) I + i sin(gt) sx
         g, t = 1.0, 0.83
-        u = spectrum(-g * SX).propagator(t)
+        u = spectrum(-g * SX.real).propagator(t)
         expected = np.cos(g * t) * np.eye(2) + 1j * np.sin(g * t) * SX
         np.testing.assert_allclose(u, expected, atol=1e-12)
 
@@ -347,14 +352,26 @@ class TestSectorBlocks:
             h = naive_hamiltonian(n, coupling, field, periodic).real
             half = h.shape[0] // 2
             a, b = h[:half, :half], h[:half, :half - 1:-1]  # rbar = 2^n - 1 - r
-            even, odd = exact._sector_blocks(params, periodic)
+            even, odd = exact.sector_blocks(build_hamiltonian(params, periodic))
             msg = f"n={n} g={field} J={coupling}"
             assert np.array_equal(even, a + b), msg
             assert np.array_equal(odd, a - b), msg
 
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_step_blocks_are_its_sector_projections(self, periodic):
+        # the blocks of a complex unitary that commutes with P, against the
+        # projections with the kron-built P
+        for n in (2, 3, 5):
+            params = TfimParams(n_spins=n, coupling=-0.7, field=1.3, dt=0.4)
+            for step in (first_order_step, symmetric_step):
+                u = circuit_unitary(step(params, periodic))
+                for sign, block in zip((1, -1), exact.sector_blocks(u)):
+                    np.testing.assert_allclose(block, sector_projection(u, sign), rtol=0,
+                                               atol=1e-14, err_msg=f"n={n} {step.__name__}")
+
     def test_dense_bound(self):
         with pytest.raises(ValueError):
-            exact._sector_blocks(TfimParams(n_spins=13))
+            chain_spectrum(TfimParams(n_spins=13))
 
 
 GRID = 0.2 * np.arange(21)

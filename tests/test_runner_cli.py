@@ -29,6 +29,8 @@ from trotterbench import (
 from trotterbench.cli import build_parser, main
 from trotterbench.trotter import TrotterOrder
 
+from oracles import naive_step_errors
+
 
 class TestRunConfig:
     def test_defaults(self):
@@ -86,6 +88,29 @@ class TestRunConfig:
         # zero rates are the noiseless channel the mode runs anyway
         assert RunConfig().replace(mode=mode, p1=0.0).noise.is_zero()
 
+    @pytest.mark.parametrize("mode, values, key", [
+        ("ideal", {"shots": 64, "traj": 9}, "shots"),
+        ("ideal", {"traj": 9}, "traj"),
+        ("noisy", {"shots": 64}, "shots"),
+        ("shots", {"traj": 9}, "traj"),
+    ])
+    def test_mode_key_refused_outside_its_mode_with_the_cli_message(
+        self, mode, values, key, capsys
+    ):
+        with pytest.raises(ValueError) as refused:
+            RunConfig(mode=mode, **values)
+        assert main(["run", "--mode", mode, f"--{key}", str(values[key])]) == 2
+        assert capsys.readouterr().err == f"error: {refused.value}\n"
+        assert str(refused.value).startswith(f"{key} applies only in")
+
+    @pytest.mark.parametrize("values", [
+        {}, {"mode": "shots", "shots": 64}, {"mode": "noisy", "traj": 9, "p2": 0.1},
+    ])
+    def test_dict_round_trip_in_every_mode(self, values):
+        # the defaults of the keys a mode ignores pass, as to_dict writes them
+        cfg = RunConfig(**values)
+        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
 
 class TestRunCommand:
     def test_ideal_low_field_small_error(self):
@@ -131,7 +156,8 @@ class TestRunCommand:
 
         monkeypatch.setattr(runner, "build_evolution_circuit", counting)
         for mode in ("ideal", "shots", "noisy"):
-            run_command(RunConfig().replace(n=3, steps=4, mode=mode, traj=4))
+            run_command(RunConfig().replace(n=3, steps=4, mode=mode,
+                                            **({"traj": 4} if mode == "noisy" else {})))
         assert len(builds) == 3
 
 
@@ -256,6 +282,29 @@ class TestSweepCompareScaling:
         rows = scaling_command(RunConfig().replace(g=0.0), [0.05, 0.1, 0.2])
         assert all(r["slope"] == "degenerate" for r in rows)
 
+    def test_scaling_degenerate_when_the_smallest_error_is_roundoff(self):
+        # the rule is min(errors) < 1e-14, not that every error vanishes:
+        # dt = 1e-9 sits at the roundoff floor while dt = 0.1 and 0.2 do not
+        rows = scaling_command(RunConfig().replace(g=2.0), [1e-9, 0.1, 0.2])
+        for row in rows:
+            assert row["slope"] == "degenerate"
+            assert row["errors"][0] < 1e-14
+            assert min(row["errors"][1:]) > 1e-3
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_scaling_errors_are_the_full_space_norms(self, n, periodic):
+        # the larger sector norm against the kron oracle's full-space norm
+        dts = [0.001, 0.05, 0.7]
+        for field in (0.0, 1.0, 2.5, -1.3):
+            for coupling in (1.0, -0.7):
+                base = RunConfig().replace(n=n, j=coupling, g=field, periodic=periodic)
+                expected = naive_step_errors(n, coupling, field, dts, periodic)
+                for row in scaling_command(base, dts):
+                    np.testing.assert_allclose(
+                        row["errors"], expected[row["order"]], rtol=0, atol=1e-13,
+                        err_msg=f"g={field} J={coupling} {row['order']}")
+
     def test_scaling_needs_three_points(self):
         with pytest.raises(ValueError):
             scaling_command(RunConfig(), [0.1, 0.2])
@@ -327,6 +376,8 @@ class TestCli:
         (["run", "--g", "1e308", "--steps", "1"], None, "g"),
         (["run", "--steps", "20", "--dt", "1e307"], None, "steps"),
         (["run", "--mode", "noisy", "--traj", str(2**32 + 1)], None, "traj"),
+        # two g whose g_<fmt(g)> output directories collide
+        (["sweep", "--g-list", "1,1.0000000000001"], None, "g_1"),
     ])
     def test_value_the_mode_ignores_exit_2_before_any_work(
         self, argv, file_values, key, tmp_path, monkeypatch, capsys
