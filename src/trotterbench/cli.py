@@ -4,10 +4,10 @@ Any flag may also come from a JSON config file (--config); explicit flags
 override file values, which override built-in defaults. In noisy mode the
 noise probabilities default to the device-like calibration unless set. A
 value the mode or command would ignore is refused with exit 2 before any
-work: shots outside shots mode, traj or nonzero noise rates outside noisy
-mode, g in sweep and compare (which take --g-list), order in compare (which
-runs both), anything in scaling but n, j, g, periodic and out, and a config
-file key that is neither a config key nor the command's own list key.
+work: a key of `runner.MODE_KEYS` outside its modes, nonzero noise rates
+outside noisy mode, a key of `runner.UNREAD_KEYS` given to its command, and
+a config file key that is neither a config key nor the command's own list
+key.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .runner import (
     CONFIG_KEYS,
     RunConfig,
     check_mode_keys,
+    check_unread_keys,
     compare_command,
     compare_table,
     csv_text,
@@ -40,14 +41,6 @@ _NOISY_DEFAULTS = dataclasses.asdict(DEVICE_LIKE)
 
 #: The value list a command reads besides the config keys.
 _LIST_KEYS = {"sweep": "g_list", "compare": "g_list", "scaling": "dt_list"}
-
-#: Config keys a command never reads.
-_UNREAD_KEYS = {
-    "sweep": ("g",),
-    "compare": ("g", "order"),
-    "scaling": ("dt", "steps", "order", "mode", "shots", "traj",
-                "p1", "p2", "read01", "read10", "seed"),
-}
 
 
 def _help(f: dataclasses.Field, default) -> str:
@@ -126,9 +119,7 @@ def merge_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
-    for key in _UNREAD_KEYS.get(args.command, ()):
-        if key in merged:
-            raise ValueError(f"{args.command} would ignore {key}")
+    check_unread_keys(merged, args.command)  # a key given even at its default
     mode = merged.get("mode", RunConfig.mode)
     check_mode_keys(merged, mode)  # a mode's key, given even at its default
     if mode == "noisy":

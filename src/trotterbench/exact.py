@@ -47,7 +47,7 @@ class Spectrum:
         return psi
 
 
-def build_hamiltonian(params: TfimParams, periodic: bool = False) -> np.ndarray:
+def build_hamiltonian(params: TfimParams) -> np.ndarray:
     """H = -J sum_bonds sz sz - g sum_j sx as a dense real symmetric matrix.
 
     The ZZ part is diagonal in the computational basis; each sx_j couples
@@ -60,7 +60,7 @@ def build_hamiltonian(params: TfimParams, periodic: bool = False) -> np.ndarray:
     dim = 1 << n
     z = z_signs(n)
     diag = np.zeros(dim, dtype=np.float64)
-    for a, b in chain_bonds(n, periodic):
+    for a, b in chain_bonds(n, params.periodic):
         diag -= params.coupling * z[:, a] * z[:, b]
     h = np.diag(diag)
     idx = np.arange(dim)
@@ -80,21 +80,6 @@ def spectrum(h: np.ndarray) -> Spectrum:
         raise ValueError("operator is not Hermitian")
     evals, evecs = np.linalg.eigh(h)
     return Spectrum(evals, evecs)
-
-
-@dataclass(frozen=True)
-class ParitySpectrum:
-    """Spectrum of a chain H that commutes with the global spin flip
-    P = prod_j X_j, solved in P's two eigenspaces.
-
-    P maps basis index x to x XOR (2^n - 1). Each r < 2^(n-1) (bit n-1
-    clear) pairs with its flip rbar = 2^n - 1 - r, and the states
-    (|r> +- |rbar>)/sqrt(2) span the P = +-1 sectors. `even` and `odd` are
-    the spectra of H's blocks in them (`sector_blocks`).
-    """
-
-    even: Spectrum
-    odd: Spectrum
 
 
 @functools.cache
@@ -146,66 +131,60 @@ def _one_blas_thread():
         set_(before)
 
 
-def _read_only(spec: Spectrum) -> Spectrum:
-    spec.eigenvalues.flags.writeable = False
-    spec.eigenvectors.flags.writeable = False
-    return spec
-
-
 def sector_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The P = +1 and P = -1 blocks A + B and A - B, in the sector bases of
-    `ParitySpectrum`, of a 2^n x 2^n matrix M that commutes with P:
-    A = M[r, r'] and B = M[r, r'bar] for r, r' < 2^(n-1). The rows rbar
-    repeat them (M[rbar, r'bar] = A, M[rbar, r'] = B) and are not read."""
+    """The P = +1 and P = -1 blocks A + B and A - B of a 2^n x 2^n matrix M
+    that commutes with the global spin flip P = prod_j X_j.
+
+    P maps basis index x to x XOR (2^n - 1). Each r < 2^(n-1) (bit n-1
+    clear) pairs with its flip rbar = 2^n - 1 - r, and the states
+    (|r> +- |rbar>)/sqrt(2) span the P = +-1 sectors; the blocks are M in
+    these bases, with A = M[r, r'] and B = M[r, r'bar] for r, r' < 2^(n-1).
+    The rows rbar repeat them (M[rbar, r'bar] = A, M[rbar, r'] = B) and are
+    not read."""
     half = m.shape[0] // 2
     a, b = m[:half, :half], m[:half, :half - 1:-1]  # rbar = 2^n - 1 - r
     return a + b, a - b
 
 
-@functools.lru_cache(maxsize=1)
-def _chain_spectrum(n_spins: int, coupling: float, field: float, periodic: bool) -> ParitySpectrum:
-    params = TfimParams(n_spins=n_spins, coupling=coupling, field=field)
-    # the full H is freed when sector_blocks returns, before either solve
-    h_even, h_odd = sector_blocks(build_hamiltonian(params, periodic))
-    # `spectrum` is looked up in this module at call time, so code that
-    # rebinds exact.spectrum (a counter, a tracer) sees every solve.
-    # Every caller shares the cached arrays.
-    with _one_blas_thread():
-        even = _read_only(spectrum(h_even))
-        del h_even
-        odd = _read_only(spectrum(h_odd))
-    return ParitySpectrum(even, odd)
-
-
-def chain_spectrum(params: TfimParams, periodic: bool = False) -> ParitySpectrum:
-    """Read-only sector spectra of the chain's H, cached for the last chain
-    asked.
+def chain_spectrum(params: TfimParams) -> tuple[Spectrum, Spectrum]:
+    """Spectra of the chain's H in the P = +1 and P = -1 sectors, in the
+    order and bases of `sector_blocks`. Nothing is kept once it returns.
 
     Every term of H, -J Z_a Z_b and -g X_j, commutes with the global spin
     flip, so H splits into two blocks of size 2^(n-1). H depends on
-    (n, J, g, periodic) but not on dt, so one pair of eigensolves serves
+    (n, J, g, boundary) but not on dt, so one pair of eigensolves serves
     both Trotter orders, every step size and the whole time grid.
     """
-    return _chain_spectrum(params.n_spins, params.coupling, params.field, bool(periodic))
+    # the full H is freed when sector_blocks returns, before either solve
+    h_even, h_odd = sector_blocks(build_hamiltonian(params))
+    # `spectrum` is looked up in this module at call time, so code that
+    # rebinds exact.spectrum (a counter, a tracer) sees every solve
+    with _one_blas_thread():
+        even = spectrum(h_even)
+        del h_even
+        return even, spectrum(h_odd)
 
 
-def exact_series(params: list[TfimParams], times,
-                 periodic: bool = False) -> list[MagnetizationSeries]:
+def exact_series(params: list[TfimParams], times) -> list[MagnetizationSeries]:
     """Exact M_j(t) and M(t) from all-down on the requested time grid, one
-    series per chain of `params`, which share N.
+    series per chain of `params`, which share N and the boundary.
 
     The open chains are read from free fermions in one `fermion.z_series`
-    pass; each periodic chain from its cached sector spectra
-    (`sector_series`). Each serves every time point at once. `times` must
-    be ascending and start at 0. The series are read-only.
+    pass; each periodic chain from its sector spectra (`sector_series`).
+    Each serves every time point at once. `times` must be ascending and
+    start at 0. The series are read-only.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.shape[0] < 1:
         raise ValueError("times must be a nonempty 1-d array")
     if times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be ascending and start at 0")
+    periodic = params[0].periodic
+    if any(p.periodic != periodic for p in params):
+        raise ValueError("every chain of one series pass must have the same "
+                         "boundary; the list mixes open and periodic chains")
     if periodic:
-        local = np.stack([sector_series(p, times, periodic) for p in params])
+        local = np.stack([sector_series(p, times) for p in params])
     else:
         local = fermion.z_series(params, times)
     # rounding can push |M| marginally past 1; the series type rejects that
@@ -214,16 +193,16 @@ def exact_series(params: list[TfimParams], times,
     return [MagnetizationSeries(times, chain) for chain in local]
 
 
-def sector_series(params: TfimParams, times: np.ndarray, periodic: bool = False) -> np.ndarray:
-    """<Z_j(t)> from all-down through the chain's cached sector spectra,
-    shape (times, n). It serves the periodic chain, and for the open chain
-    it is the dense oracle of the free-fermion series."""
-    spec = chain_spectrum(params, periodic)
+def sector_series(params: TfimParams, times: np.ndarray) -> np.ndarray:
+    """<Z_j(t)> from all-down through the chain's sector spectra, shape
+    (times, n). It serves the periodic chain, and for the open chain it is
+    the dense oracle of the free-fermion series."""
+    spec_even, spec_odd = chain_spectrum(params)
     # all-down |2^n - 1> is rbar for r = 0: +-1/sqrt(2) on r = 0 in the two sectors
     even_0, odd_0 = np.zeros((2, 1 << (params.n_spins - 1)))
     even_0[0], odd_0[0] = 1 / np.sqrt(2), -1 / np.sqrt(2)
-    even = spec.even.evolve(even_0, times)
-    odd = spec.odd.evolve(odd_0, times)
+    even = spec_even.evolve(even_0, times)
+    odd = spec_odd.evolve(odd_0, times)
     # psi(r) = (even + odd)/sqrt(2) and psi(rbar) = (even - odd)/sqrt(2), and
     # Z_j flips sign between r and rbar, so
     # <Z_j> = sum_r (p(r) - p(rbar)) s_j(r) with p(r) - p(rbar) = 2 Re(even odd*)

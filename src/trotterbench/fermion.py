@@ -94,6 +94,9 @@ def z_series(params: list[TfimParams], times: np.ndarray) -> np.ndarray:
     n = params[0].n_spins
     if any(p.n_spins != n for p in params):
         raise ValueError("every chain of one series pass must have the same length")
+    if any(p.periodic for p in params):
+        raise ValueError("the free-fermion series serves only open chains; a periodic "
+                         "chain's wrap bond is not one quadratic Majorana term")
     r = np.concatenate([majorana_propagator(p, times) for p in params])
     # rows e_{a_0}, R[a_0], R[b_0], ..., R[a_{N-1}]
     u = np.empty_like(r)

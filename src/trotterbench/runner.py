@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .circuit import MAX_DENSE_SPINS, Circuit, circuit_unitary, encode, gate_counts
-from .exact import ParitySpectrum, chain_spectrum, exact_series, sector_blocks
+from .exact import Spectrum, chain_spectrum, exact_series, sector_blocks
 from .kernels import run_gates, run_gates_record
 from .noise import (
     MAX_TRAJECTORIES,
@@ -38,15 +38,33 @@ MODES = ("ideal", "shots", "noisy")
 #: Denominators below this are reported as the "NA" ratio sentinel.
 ZERO_RMSE = 1e-12
 
-#: Config keys that only one mode reads, and that mode.
-MODE_KEYS = {"shots": "shots", "traj": "noisy"}
+#: Config keys that only some modes read, and those modes. The noise rates
+#: are not here: a zero rate is the noiseless channel every mode runs.
+MODE_KEYS = {"shots": ("shots",), "traj": ("noisy",), "seed": ("shots", "noisy")}
+
+#: Config keys a command never reads; `mode` last, so that a key only some
+#: modes read is named before the mode that reads it.
+UNREAD_KEYS = {
+    "sweep": ("g",),
+    "compare": ("g", "order"),
+    "scaling": ("dt", "steps", "order", "shots", "traj",
+                "p1", "p2", "read01", "read10", "seed", "mode"),
+}
 
 
 def check_mode_keys(keys, mode: str) -> None:
     """Refuse a key of `keys` that `mode` does not read (`MODE_KEYS`)."""
     for key, needs in MODE_KEYS.items():
-        if key in keys and mode != needs:
-            raise ValueError(f"{key} applies only in {needs} mode; {mode} mode would ignore it")
+        if key in keys and mode not in needs:
+            raise ValueError(f"{key} applies only in {' or '.join(needs)} mode; "
+                             f"{mode} mode would ignore it")
+
+
+def check_unread_keys(keys, command: str) -> None:
+    """Refuse a key of `keys` that `command` never reads (`UNREAD_KEYS`)."""
+    for key in UNREAD_KEYS.get(command, ()):
+        if key in keys:
+            raise ValueError(f"{command} would ignore {key}")
 
 
 def _key(default, help: str, choices: tuple | None = None):
@@ -100,23 +118,27 @@ class RunConfig:
         if not math.isfinite(self.steps * self.dt):
             raise ValueError(f"dt={self.dt} with steps={self.steps} gives a "
                              "non-finite time steps*dt")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.mode != "noisy" and not noise.is_zero():
             raise ValueError(
                 "p1, p2, read01 and read10 apply only in noisy mode; "
                 f"{self.mode} mode would ignore them"
             )
-        check_mode_keys({k for k in MODE_KEYS if getattr(self, k) != getattr(RunConfig, k)},
-                        self.mode)
+        check_mode_keys(self.changed_keys(), self.mode)
         if self.mode == "shots" and self.shots < 1:
             raise ValueError(f"shots must be >= 1, got {self.shots}")
         if self.mode == "noisy" and not 1 <= self.traj <= MAX_TRAJECTORIES:
             raise ValueError(f"traj must be in [1, 2**32], got {self.traj}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+    def changed_keys(self) -> set:
+        """The config keys whose values differ from their defaults."""
+        return {f.name for f in fields(self) if getattr(self, f.name) != f.default}
 
     @property
     def tfim(self) -> TfimParams:
-        return TfimParams(n_spins=self.n, coupling=self.j, field=self.g, dt=self.dt)
+        return TfimParams(n_spins=self.n, coupling=self.j, field=self.g, dt=self.dt,
+                          periodic=self.periodic)
 
     @property
     def noise(self) -> NoiseParams:
@@ -230,11 +252,10 @@ def _run_block(configs: list[RunConfig],
     start = time.perf_counter()
     base = configs[0]
     times = base.dt * np.arange(base.steps + 1)
-    circuits = [build_evolution_circuit(c.tfim, c.steps, c.order, c.periodic)
-                for c in configs]
+    circuits = [build_evolution_circuit(c.tfim, c.steps, c.order) for c in configs]
     local = _simulate_local(configs, circuits)
     if exact is None:
-        exact = exact_series([c.tfim for c in configs], times, base.periodic)
+        exact = exact_series([c.tfim for c in configs], times)
     results = []
     for config, circuit, run, reference in zip(configs, circuits, local, exact):
         sim = MagnetizationSeries(times, run)
@@ -256,9 +277,10 @@ def run_command(config: RunConfig) -> RunResult:
     return result
 
 
-def _g_configs(base: RunConfig, g_values) -> list[RunConfig]:
-    """One config per g, everything else shared; every g is checked here,
-    before any run."""
+def _g_configs(base: RunConfig, g_values, command: str) -> list[RunConfig]:
+    """One config per g, everything else shared. A key of `base` that
+    `command` never reads, and every g, are checked here, before any run."""
+    check_unread_keys(base.changed_keys(), command)
     g_values = list(g_values)
     if not g_values:
         raise ValueError("g_values must be nonempty")
@@ -270,7 +292,7 @@ def sweep_command(base: RunConfig, g_values) -> list[RunResult]:
     simulated as one block. Before the first run every g is checked, and
     with `out` two g that would share a `g_<g>` directory are refused."""
     g_values = list(g_values)
-    configs = _g_configs(base, g_values)
+    configs = _g_configs(base, g_values, "sweep")
     names = [f"g_{fmt(c.g)}" for c in configs]
     if base.out is not None and len(set(names)) < len(names):
         raise ValueError(f"g values {g_values} would share output directories {names}")
@@ -287,7 +309,7 @@ def compare_command(base: RunConfig, g_values) -> list[dict]:
     comparison table (ratio = symmetric / first, "NA" on a ~0 denominator).
     Each order runs all g as one block, and both compare with one exact
     series per g. Every g is checked before the first run."""
-    configs = _g_configs(base, g_values)
+    configs = _g_configs(base, g_values, "compare")
     firsts = _run_block([c.replace(order=TrotterOrder.FIRST) for c in configs])
     syms = _run_block([c.replace(order=TrotterOrder.SYMMETRIC) for c in configs],
                       [r.exact for r in firsts])
@@ -315,14 +337,15 @@ def scaling_command(base: RunConfig, dt_values) -> list[dict]:
     fitted to a log-log slope; "degenerate" when the smallest error is below
     1e-14, as a fit through a point at the roundoff floor reads roundoff,
     not the order. Every dt is checked before the eigensolves."""
+    check_unread_keys(base.changed_keys(), "scaling")
     dt_values = [float(dt) for dt in dt_values]
     if len(set(dt_values)) < 3:
         raise ValueError(f"need at least 3 distinct dt values for a slope fit, got {dt_values}")
     step_params = [dataclasses.replace(base.tfim, dt=dt) for dt in dt_values]
-    spec = chain_spectrum(base.tfim, base.periodic)
+    spec = chain_spectrum(base.tfim)
     rows = []
     for order in (TrotterOrder.FIRST, TrotterOrder.SYMMETRIC):
-        errs = [_step_error(spec, params, order, base.periodic) for params in step_params]
+        errs = [_step_error(spec, params, order) for params in step_params]
         slope = "degenerate" if min(errs) < 1e-14 else scaling_fit(dt_values, errs)[0]
         rows.append({"order": order.value, "slope": slope, "errors": errs})
     if base.out is not None:
@@ -330,13 +353,14 @@ def scaling_command(base: RunConfig, dt_values) -> list[dict]:
     return rows
 
 
-def _step_error(spec: ParitySpectrum, params: TfimParams, order: TrotterOrder, periodic: bool):
-    """||U_step - exp(-iH dt)||_2 of one Trotter step. Both unitaries commute
-    with the spin flip, so it is the larger norm of the two sector blocks of
-    their difference. The full U_step is freed before the norms."""
-    blocks = sector_blocks(circuit_unitary(build_evolution_circuit(params, 1, order, periodic)))
+def _step_error(spec: tuple[Spectrum, Spectrum], params: TfimParams, order: TrotterOrder):
+    """||U_step - exp(-iH dt)||_2 of one Trotter step, from the sector
+    spectra of `chain_spectrum`. Both unitaries commute with the spin flip,
+    so it is the larger norm of the two sector blocks of their difference.
+    The full U_step is freed before the norms."""
+    blocks = sector_blocks(circuit_unitary(build_evolution_circuit(params, 1, order)))
     return max(float(np.linalg.norm(block - sector.propagator(params.dt), 2))
-               for block, sector in zip(blocks, (spec.even, spec.odd)))
+               for block, sector in zip(blocks, spec))
 
 
 # ------------------------------------------------------------------ output

@@ -24,12 +24,14 @@ class TrotterOrder(str, enum.Enum):
 
 @dataclass(frozen=True)
 class TfimParams:
-    """Chain size, Ising coupling J, transverse field g, and step size dt."""
+    """Chain size, Ising coupling J, transverse field g, step size dt, and
+    boundary: open, or periodic with the wrap bond (N-1, 0)."""
 
     n_spins: int
     coupling: float = 1.0
     field: float = 1.0
     dt: float = 0.2
+    periodic: bool = False
 
     def __post_init__(self):
         if self.n_spins < 2:
@@ -81,20 +83,20 @@ def _zz_layer(circ: Circuit, bonds, theta: float, reverse: bool = False) -> None
         circ.append(cnot(a, b))
 
 
-def first_order_step(params: TfimParams, periodic: bool = False) -> Circuit:
+def first_order_step(params: TfimParams) -> Circuit:
     """One first-order Trotter step: X layer, then odd bonds, then even bonds."""
     n = params.n_spins
     circ = Circuit(n)
     theta_x = -2.0 * params.field * params.dt
     theta_zz = -2.0 * params.coupling * params.dt
     _x_layer(circ, n, theta_x)
-    _zz_layer(circ, odd_bonds(n, periodic), theta_zz)
-    _zz_layer(circ, even_bonds(n, periodic), theta_zz)
+    _zz_layer(circ, odd_bonds(n, params.periodic), theta_zz)
+    _zz_layer(circ, even_bonds(n, params.periodic), theta_zz)
     circ.mark_step()
     return circ
 
 
-def symmetric_step(params: TfimParams, periodic: bool = False) -> Circuit:
+def symmetric_step(params: TfimParams) -> Circuit:
     """One symmetric second-order step (palindromic half/full/half layering).
 
     The trailing half layers are emitted in mirrored gate order; gates within
@@ -106,30 +108,25 @@ def symmetric_step(params: TfimParams, periodic: bool = False) -> Circuit:
     theta_x_half = -params.field * params.dt
     theta_zz_half = -params.coupling * params.dt
     theta_zz_full = -2.0 * params.coupling * params.dt
-    odd = odd_bonds(n, periodic)
+    odd = odd_bonds(n, params.periodic)
     _x_layer(circ, n, theta_x_half)
     _zz_layer(circ, odd, theta_zz_half)
-    _zz_layer(circ, even_bonds(n, periodic), theta_zz_full)
+    _zz_layer(circ, even_bonds(n, params.periodic), theta_zz_full)
     _zz_layer(circ, odd, theta_zz_half, reverse=True)
     _x_layer(circ, n, theta_x_half, reverse=True)
     circ.mark_step()
     return circ
 
 
-def build_evolution_circuit(
-    params: TfimParams,
-    n_steps: int,
-    order: TrotterOrder,
-    periodic: bool = False,
-) -> Circuit:
+def build_evolution_circuit(params: TfimParams, n_steps: int, order: TrotterOrder) -> Circuit:
     """Repeat the chosen step `n_steps` times; no cross-step layer fusion,
     so the state at every step mark is exactly the per-step measured state."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if order == TrotterOrder.FIRST:
-        step = first_order_step(params, periodic)
+        step = first_order_step(params)
     elif order == TrotterOrder.SYMMETRIC:
-        step = symmetric_step(params, periodic)
+        step = symmetric_step(params)
     else:
         raise ValueError(f"unknown Trotter order {order!r}")
     circ = Circuit(params.n_spins)

@@ -23,7 +23,7 @@ G_LISTS = ((0.0, -1.3, 2.5, 1.0, 2.5), (1.7,))
 def _one_state_local(config: RunConfig) -> np.ndarray:
     """The loop the block replaced: one (2^n,) state and one angle per
     gate, a fresh generator (seed, k) per step in shots mode."""
-    circuit = build_evolution_circuit(config.tfim, config.steps, config.order, config.periodic)
+    circuit = build_evolution_circuit(config.tfim, config.steps, config.order)
     kinds, qa, qb, theta, marks = encode(circuit)
     state = all_down_state(config.n)
     local = np.empty((config.steps + 1, config.n))
@@ -44,7 +44,7 @@ def _one_state_local(config: RunConfig) -> np.ndarray:
 
 
 def _block_local(configs: list[RunConfig]) -> np.ndarray:
-    circuits = [build_evolution_circuit(c.tfim, c.steps, c.order, c.periodic) for c in configs]
+    circuits = [build_evolution_circuit(c.tfim, c.steps, c.order) for c in configs]
     return runner._simulate_local(configs, circuits)
 
 
@@ -55,8 +55,8 @@ def test_each_column_is_the_one_g_run_bit_for_bit(mode, periodic, order):
     for n in SIZES:
         for coupling in COUPLINGS:
             base = RunConfig().replace(n=n, j=coupling, steps=3, mode=mode, order=order,
-                                       periodic=periodic, seed=5,
-                                       **({"shots": 64} if mode == "shots" else {}))
+                                       periodic=periodic,
+                                       **({"shots": 64, "seed": 5} if mode == "shots" else {}))
             for g_list in G_LISTS:
                 configs = [base.replace(g=g) for g in g_list]
                 block = _block_local(configs)
@@ -69,8 +69,9 @@ def test_each_column_is_the_one_g_run_bit_for_bit(mode, periodic, order):
 @pytest.mark.parametrize("mode", ["ideal", "shots"])
 @pytest.mark.parametrize("periodic", [False, True])
 def test_sweep_results_are_the_one_config_runs(mode, periodic):
-    base = RunConfig().replace(n=5, j=-0.7, steps=4, mode=mode, periodic=periodic, seed=3,
-                               order="sym2", **({"shots": 64} if mode == "shots" else {}))
+    base = RunConfig().replace(n=5, j=-0.7, steps=4, mode=mode, periodic=periodic,
+                               order="sym2",
+                               **({"shots": 64, "seed": 3} if mode == "shots" else {}))
     g_list = G_LISTS[0]
     swept = sweep_command(base, g_list)
     for g, result in zip(g_list, swept):

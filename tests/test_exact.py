@@ -1,5 +1,8 @@
 """Exact Hamiltonian, spectral propagator, and continuous-time series."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -47,8 +50,8 @@ class TestBuildHamiltonian:
     @pytest.mark.parametrize("periodic", [False, True])
     @pytest.mark.parametrize("n,field", [(2, 1.0), (3, 2.5), (5, 1.0)])
     def test_matches_naive_kron_construction(self, n, field, periodic):
-        params = TfimParams(n_spins=n, coupling=1.0, field=field)
-        h = build_hamiltonian(params, periodic=periodic)
+        params = TfimParams(n_spins=n, coupling=1.0, field=field, periodic=periodic)
+        h = build_hamiltonian(params)
         assert h.dtype == np.float64  # real symmetric, so the real eigh applies
         np.testing.assert_allclose(
             h, naive_hamiltonian(n, 1.0, field, periodic), atol=1e-10
@@ -88,14 +91,6 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="complex"):
             spectrum(h)
 
-    def test_chain_spectrum_is_read_only(self):
-        spec = chain_spectrum(TfimParams(n_spins=3, field=1.3))
-        for sector in (spec.even, spec.odd):
-            with pytest.raises(ValueError, match="read-only"):
-                sector.eigenvalues[0] = 0.0
-            with pytest.raises(ValueError, match="read-only"):
-                sector.eigenvectors[0, 0] = 0.0
-
     def test_rejects_nan(self):
         # eigh itself would return NaNs here without raising
         with pytest.raises(ValueError, match="not Hermitian"):
@@ -106,11 +101,12 @@ class TestSpectrum:
         with pytest.raises(ValueError, match="not Hermitian"):
             spectrum(np.array([[0.0, 2e-12], [0.0, 0.0]]))
 
-    def test_chain_spectrum_shared_across_dt(self):
-        a = chain_spectrum(TfimParams(n_spins=3, field=1.3, dt=0.1), periodic=True)
-        b = chain_spectrum(TfimParams(n_spins=3, field=1.3, dt=0.4), periodic=True)
-        assert a is b
-        assert chain_spectrum(TfimParams(n_spins=3, field=1.3, dt=0.1)) is not a
+    def test_chain_spectrum_keeps_nothing_once_it_returns(self):
+        spec = chain_spectrum(TfimParams(n_spins=3, field=1.3, periodic=True))
+        even = weakref.ref(spec[0])
+        del spec
+        gc.collect()
+        assert even() is None
 
 
 class TestSectorSolveThreads:
@@ -122,9 +118,7 @@ class TestSectorSolveThreads:
         threads = [4]
         monkeypatch.setattr(exact, "_blas_thread_control",
                             lambda: (lambda: threads[0], lambda k: threads.__setitem__(0, k)))
-        exact._chain_spectrum.cache_clear()
-        yield threads
-        exact._chain_spectrum.cache_clear()
+        return threads
 
     def test_solves_see_one_thread_and_count_is_restored(self, fake_blas, monkeypatch):
         seen = []
@@ -157,9 +151,7 @@ class TestSectorSolveThreads:
             before, seen = get(), []
             original = exact.spectrum
             monkeypatch.setattr(exact, "spectrum", lambda h: (seen.append(get()), original(h))[1])
-            exact._chain_spectrum.cache_clear()
             chain_spectrum(TfimParams(n_spins=6, field=1.1))
-            exact._chain_spectrum.cache_clear()
             assert seen == [1, 1]
             assert get() == before
 
@@ -173,20 +165,20 @@ class TestSpinFlipParity:
         for n in (2, 3, 4, 5):
             p = spin_flip(n)
             for field in (0.0, 1.0, 2.5):
-                params = TfimParams(n_spins=n, field=field, dt=0.3)
-                h = build_hamiltonian(params, periodic)
+                params = TfimParams(n_spins=n, field=field, dt=0.3, periodic=periodic)
+                h = build_hamiltonian(params)
                 np.testing.assert_allclose(p @ h, h @ p, rtol=0, atol=1e-13,
                                            err_msg=f"H n={n} g={field}")
                 for step in (first_order_step, symmetric_step):
-                    u = circuit_unitary(step(params, periodic))
+                    u = circuit_unitary(step(params))
                     np.testing.assert_allclose(p @ u, u @ p, rtol=0, atol=1e-13,
                                                err_msg=f"{step.__name__} n={n} g={field}")
 
     def test_sector_blocks_are_half_size(self):
-        spec = chain_spectrum(TfimParams(n_spins=5, field=1.0))
-        assert spec.even.eigenvectors.shape == spec.odd.eigenvectors.shape == (16, 16)
+        even, odd = chain_spectrum(TfimParams(n_spins=5, field=1.0))
+        assert even.eigenvectors.shape == odd.eigenvectors.shape == (16, 16)
         full = np.linalg.eigvalsh(naive_hamiltonian(5, 1.0, 1.0))
-        both = np.sort(np.concatenate([spec.even.eigenvalues, spec.odd.eigenvalues]))
+        both = np.sort(np.concatenate([even.eigenvalues, odd.eigenvalues]))
         np.testing.assert_allclose(both, full, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
@@ -195,11 +187,11 @@ class TestSpinFlipParity:
         # each sector's propagator is the kron oracle's exp(-iHt) projected
         # onto that sector with the kron-built P
         for field in (0.0, 1.0, 2.5):
-            spec = chain_spectrum(TfimParams(n_spins=n, field=field), periodic)
+            spec = chain_spectrum(TfimParams(n_spins=n, field=field, periodic=periodic))
             h = naive_hamiltonian(n, 1.0, field, periodic)
             for t in (0.0, 0.2, 1.7):
                 u_full = expm_hermitian(h, t)
-                for sign, sector in ((1, spec.even), (-1, spec.odd)):
+                for sign, sector in zip((1, -1), spec):
                     u = sector.propagator(t)
                     msg = f"g={field} t={t} P={sign}"
                     np.testing.assert_allclose(u, sector_projection(u_full, sign), rtol=0,
@@ -257,8 +249,8 @@ class TestExactSeries:
         # the all-down state is then an eigenstate: M_j pinned at -1
         for n in range(2, 10):
             for periodic in (False, True):
-                params = TfimParams(n_spins=n, field=0.0, dt=0.2)
-                series = exact_series([params], 0.2 * np.arange(21), periodic)[0]
+                params = TfimParams(n_spins=n, field=0.0, dt=0.2, periodic=periodic)
+                series = exact_series([params], 0.2 * np.arange(21))[0]
                 np.testing.assert_allclose(series.local, -1.0, rtol=0, atol=1e-14,
                                            err_msg=f"n={n} periodic={periodic}")
 
@@ -282,8 +274,8 @@ class TestExactSeries:
     def test_periodic_chain_is_site_uniform(self):
         # the ring is translation invariant, and so is the all-down state
         for n in range(2, 10):
-            params = TfimParams(n_spins=n, field=1.5)
-            series = exact_series([params], 0.2 * np.arange(21), True)[0]
+            params = TfimParams(n_spins=n, field=1.5, periodic=True)
+            series = exact_series([params], 0.2 * np.arange(21))[0]
             np.testing.assert_allclose(series.local, series.local[:, :1] * np.ones(n),
                                        rtol=0, atol=1e-13, err_msg=f"n={n}")
             assert series.local.min() < -0.1 and series.local.max() > -0.9  # not frozen
@@ -313,16 +305,16 @@ class TestExactSeries:
     def test_matches_independent_propagation(self):
         # the naive complex Hamiltonian and its complex full-space eigh
         # share no code with the free-fermion series (open chain) or the
-        # cached sector spectra and their batched grid (periodic chain)
+        # sector spectra and their batched grid (periodic chain)
         times = 0.2 * np.arange(21)
         for n in range(2, 9):
             signs = z_oracle(n)
             psi0 = all_down_state(n).amps
             for periodic in (False, True):
                 for field in (0.0, 1.0, 2.5):
-                    params = TfimParams(n_spins=n, field=field)
+                    params = TfimParams(n_spins=n, field=field, periodic=periodic)
                     h = naive_hamiltonian(n, 1.0, field, periodic)
-                    series = exact_series([params], times, periodic)[0]
+                    series = exact_series([params], times)[0]
                     expected = np.abs(evolve_hermitian(h, psi0, times)) ** 2 @ signs
                     np.testing.assert_allclose(
                         series.local, expected, rtol=0, atol=1e-13,
@@ -330,13 +322,19 @@ class TestExactSeries:
                     )
 
     def test_series_is_read_only(self):
-        params = TfimParams(n_spins=4, field=1.3)
         for periodic in (False, True):
-            series = exact_series([params, params], 0.2 * np.arange(6), periodic)
+            params = TfimParams(n_spins=4, field=1.3, periodic=periodic)
+            series = exact_series([params, params], 0.2 * np.arange(6))
             for one in series:
                 with pytest.raises(ValueError, match="read-only"):
                     one.local[0, 0] = 0.0
             np.testing.assert_array_equal(series[0].local, series[1].local)
+
+    def test_refuses_a_list_that_mixes_boundaries(self):
+        chains = [TfimParams(n_spins=4), TfimParams(n_spins=4, periodic=True)]
+        for params in (chains, chains[::-1]):
+            with pytest.raises(ValueError, match="mixes open and periodic"):
+                exact_series(params, 0.2 * np.arange(6))
 
 
 class TestSectorBlocks:
@@ -348,11 +346,11 @@ class TestSectorBlocks:
     @pytest.mark.parametrize("periodic", [False, True])
     def test_blocks_equal_the_slices_of_the_full_hamiltonian(self, periodic):
         for n, field, coupling in self.CASES:
-            params = TfimParams(n_spins=n, coupling=coupling, field=field)
+            params = TfimParams(n_spins=n, coupling=coupling, field=field, periodic=periodic)
             h = naive_hamiltonian(n, coupling, field, periodic).real
             half = h.shape[0] // 2
             a, b = h[:half, :half], h[:half, :half - 1:-1]  # rbar = 2^n - 1 - r
-            even, odd = exact.sector_blocks(build_hamiltonian(params, periodic))
+            even, odd = exact.sector_blocks(build_hamiltonian(params))
             msg = f"n={n} g={field} J={coupling}"
             assert np.array_equal(even, a + b), msg
             assert np.array_equal(odd, a - b), msg
@@ -362,9 +360,9 @@ class TestSectorBlocks:
         # the blocks of a complex unitary that commutes with P, against the
         # projections with the kron-built P
         for n in (2, 3, 5):
-            params = TfimParams(n_spins=n, coupling=-0.7, field=1.3, dt=0.4)
+            params = TfimParams(n_spins=n, coupling=-0.7, field=1.3, dt=0.4, periodic=periodic)
             for step in (first_order_step, symmetric_step):
-                u = circuit_unitary(step(params, periodic))
+                u = circuit_unitary(step(params))
                 for sign, block in zip((1, -1), exact.sector_blocks(u)):
                     np.testing.assert_allclose(block, sector_projection(u, sign), rtol=0,
                                                atol=1e-14, err_msg=f"n={n} {step.__name__}")
@@ -396,7 +394,11 @@ class TestFreeFermionSeries:
         params = TfimParams(n_spins=12, coupling=-0.7, field=2.5)
         np.testing.assert_allclose(fermion.z_series([params], GRID)[0],
                                    sector_series(params, GRID), rtol=0, atol=1e-13)
-        exact._chain_spectrum.cache_clear()  # release the 2^11-row spectra
+
+    def test_refuses_a_periodic_chain(self):
+        params = [TfimParams(n_spins=4), TfimParams(n_spins=4, periodic=True)]
+        with pytest.raises(ValueError, match="only open chains"):
+            fermion.z_series(params, GRID)
 
     @pytest.mark.parametrize("coupling", COUPLINGS)
     @pytest.mark.parametrize("field", FIELDS)

@@ -116,8 +116,8 @@ class TestNoisyExecute:
         # fault on the wrong qubit or Pauli, a gate's faults on the wrong
         # rows, or a block that drops or repeats a trajectory moves the mean
         # far beyond 1e-12
-        params = TfimParams(n_spins=3, field=1.5, dt=0.3)
-        circ = build_evolution_circuit(params, 3, TrotterOrder.SYMMETRIC, periodic=True)
+        params = TfimParams(n_spins=3, field=1.5, dt=0.3, periodic=True)
+        circ = build_evolution_circuit(params, 3, TrotterOrder.SYMMETRIC)
         noise = NoiseParams(p1=0.5, p2=0.5)
         trajectories, seed, n = TRAJECTORY_BLOCK + 3, 17, 3
         psi0 = all_down_state(n).amps

@@ -93,6 +93,7 @@ class TestRunConfig:
         ("ideal", {"traj": 9}, "traj"),
         ("noisy", {"shots": 64}, "shots"),
         ("shots", {"traj": 9}, "traj"),
+        ("ideal", {"seed": 5}, "seed"),
     ])
     def test_mode_key_refused_outside_its_mode_with_the_cli_message(
         self, mode, values, key, capsys
@@ -175,14 +176,15 @@ class TestExactSolves:
             calls.append(h.shape)
             return original(h)
 
-        exact._chain_spectrum.cache_clear()
         monkeypatch.setattr(exact, "spectrum", counting)
-        yield calls
-        exact._chain_spectrum.cache_clear()
+        return calls
 
     def test_compare_solves_once_per_g(self, solves):
-        compare_command(RunConfig().replace(n=3, steps=4, periodic=True), [1.0, 2.0])
-        assert solves == [(4, 4)] * 4
+        # a repeated g solves again: nothing is kept between chains
+        for g_list in ([1.0, 2.0], [2.0, 2.0]):
+            solves.clear()
+            compare_command(RunConfig().replace(n=3, steps=4, periodic=True), g_list)
+            assert solves == [(4, 4)] * 4, g_list
 
     def test_scaling_solves_once_for_every_dt(self, solves):
         scaling_command(RunConfig().replace(n=3, g=2.0),
@@ -190,7 +192,7 @@ class TestExactSolves:
         assert solves == [(4, 4)] * 2
 
     def test_sweep_solves_once_per_g(self, solves):
-        # one pair of solves per g: no g can read another g's cached spectra
+        # one pair of solves per g
         sweep_command(RunConfig().replace(n=3, steps=4, periodic=True), [1.0, 2.0, 3.0])
         assert solves == [(4, 4)] * 6
 
@@ -227,7 +229,7 @@ class TestOutputs:
         assert len(totals) == 1 + 21
 
     def test_meta_config_round_trip(self, tmp_path):
-        cfg = RunConfig().replace(g=2.0, seed=7, out=str(tmp_path))
+        cfg = RunConfig().replace(g=2.0, out=str(tmp_path))
         run_command(cfg)
         meta = json.loads((tmp_path / "meta.json").read_text())
         assert RunConfig.from_dict(meta["config"]) == cfg
@@ -238,10 +240,39 @@ class TestOutputs:
 
 class TestSweepCompareScaling:
     def test_singleton_sweep_equals_run(self):
-        base = RunConfig().replace(g=2.0)
-        swept = sweep_command(base, [2.0])[0]
-        single = run_command(base)
+        swept = sweep_command(RunConfig(), [2.0])[0]
+        single = run_command(RunConfig(g=2.0))
         assert swept.errors.rmse_local == single.errors.rmse_local
+
+    # a base that differs from the defaults in the key, and in the mode that
+    # reads it where only some modes do
+    UNREAD_VALUES = {
+        "g": {"g": 7.0}, "order": {"order": "sym2"}, "dt": {"dt": 0.3}, "steps": {"steps": 3},
+        "mode": {"mode": "shots"}, "shots": {"mode": "shots", "shots": 8},
+        "traj": {"mode": "noisy", "traj": 9}, "seed": {"mode": "noisy", "seed": 4},
+        **{k: {"mode": "noisy", k: 0.1} for k in ("p1", "p2", "read01", "read10")},
+    }
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, keys in runner.UNREAD_KEYS.items() for key in keys
+    ])
+    def test_library_command_refuses_a_key_it_never_reads(
+        self, command, key, tmp_path, monkeypatch
+    ):
+        def simulate(*args):
+            raise AssertionError("simulated before refusing an unread key")
+
+        for name in ("_simulate_local", "chain_spectrum", "circuit_unitary"):
+            monkeypatch.setattr(runner, name, simulate)
+        run = {"sweep": sweep_command, "compare": compare_command,
+               "scaling": scaling_command}[command]
+        values = [0.05, 0.1, 0.2] if command == "scaling" else [1.0]
+        out = tmp_path / "out"
+        base = RunConfig(**self.UNREAD_VALUES[key], out=str(out))
+        with pytest.raises(ValueError) as refused:
+            run(base, values)
+        assert str(refused.value) == f"{command} would ignore {key}"
+        assert not out.exists()
 
     def test_empty_g_list(self):
         with pytest.raises(ValueError):
@@ -378,6 +409,8 @@ class TestCli:
         (["run", "--mode", "noisy", "--traj", str(2**32 + 1)], None, "traj"),
         # two g whose g_<fmt(g)> output directories collide
         (["sweep", "--g-list", "1,1.0000000000001"], None, "g_1"),
+        # a seed only shots and noisy mode read
+        (["run", "--seed", "5"], None, "seed"),
     ])
     def test_value_the_mode_ignores_exit_2_before_any_work(
         self, argv, file_values, key, tmp_path, monkeypatch, capsys
@@ -400,7 +433,7 @@ class TestCli:
         (["run"], {"periodic": "false"}, "periodic"),
         (["run"], {"n": 3.7}, "n"),
         (["run"], {"steps": 2.9}, "steps"),
-        (["run"], {"seed": None}, "seed"),
+        (["run", "--mode", "shots"], {"seed": None}, "seed"),
         (["run"], {"g": [1, 2]}, "g"),
         (["run"], {"j": True}, "j"),
         (["run", "--mode", "noisy"], {"p1": "0.1"}, "p1"),

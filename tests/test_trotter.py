@@ -193,9 +193,9 @@ class TestStepCorrectness:
             assert np.linalg.norm(circuit_unitary(step) - exact, 2) <= 1e-10
 
     def test_periodic_chain_small_dt(self):
-        params = TfimParams(n_spins=4, field=1.5, dt=0.001)
+        params = TfimParams(n_spins=4, field=1.5, dt=0.001, periodic=True)
         exact = expm_hermitian(naive_hamiltonian(4, 1.0, 1.5, periodic=True), 0.001)
-        u = circuit_unitary(first_order_step(params, periodic=True))
+        u = circuit_unitary(first_order_step(params))
         assert np.linalg.norm(u - exact, 2) <= 1e-4
 
 
