@@ -24,7 +24,6 @@ from .runner import (
     sweep_command,
 )
 from .statevector import (
-    StateVector,
     all_down_state,
     execute,
     init_basis_state,
@@ -47,7 +46,6 @@ __all__ = [
     "cnot",
     "circuit_unitary",
     "gate_counts",
-    "StateVector",
     "init_basis_state",
     "all_down_state",
     "execute",

@@ -89,13 +89,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_list(text: str, flag: str) -> list[float]:
+    """Comma-separated numbers; an empty entry is refused, not skipped."""
+    entries = text.split(",")
+    if any(v.strip() == "" for v in entries):
+        raise ValueError(f"{flag} has an empty entry: {text!r}")
     try:
-        values = [float(v) for v in text.split(",") if v.strip() != ""]
+        return [float(v) for v in entries]
     except ValueError as e:
         raise ValueError(f"{flag}: {e}") from None
-    if not values:
-        raise ValueError(f"{flag} must list at least one value")
-    return values
 
 
 def merge_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:

@@ -174,6 +174,8 @@ def exact_series(params: list[TfimParams], times) -> list[MagnetizationSeries]:
     Each serves every time point at once. `times` must be ascending and
     start at 0. The series are read-only.
     """
+    if not params:
+        raise ValueError("params must list at least one chain")
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.shape[0] < 1:
         raise ValueError("times must be a nonempty 1-d array")

@@ -24,7 +24,7 @@ rotation qubit or CNOT control, `qb` the CNOT target. Pauli codes: 0=I, 1=X,
 applied to `qa` after the gate in bits 2-3 and the Pauli applied to `qb` in
 bits 0-1. Faults are sparse events: each one permutes the amplitudes of its
 own trajectory and multiplies them by a unit phase (+-1, +-i), both read by
-fault code from one cached table per qubit pair (`_pauli_table`). Inside a fused
+fault code from one table per qubit pair (`_pauli_table`). Inside a fused
 bond, a fault after the first CNOT or after the RZ is conjugated by the CNOT
 and applied before or after the phase respectively, so every amplitude meets
 its unit phases and its RZ factor in the order of the gate list; a fault
@@ -42,6 +42,18 @@ import numpy as np
 def active_backend() -> str:
     """Name of the gate engine, recorded by the benchmark's machine line."""
     return "numpy"
+
+
+def basis_qubits(a: np.ndarray, what: str = "amplitudes", block: bool = True) -> int:
+    """n of `a`, read from its basis-indexed leading axis of length 2^n
+    (n >= 1): `a` is (2^n,), or (2^n, B) when `block`. Any other shape
+    raises a ValueError naming `what`."""
+    shape = np.shape(a)
+    n = shape[0].bit_length() - 1 if len(shape) in ((1, 2) if block else (1,)) else 0
+    if n < 1 or shape[0] != 1 << n:
+        form = "(2^n,) or (2^n, B)" if block else "(2^n,)"
+        raise ValueError(f"{what} must have shape {form} with n >= 1, got {shape}")
+    return n
 
 
 def _batch(amps: np.ndarray) -> np.ndarray:
@@ -131,10 +143,8 @@ def _angles(kinds, theta, columns):
     return angles
 
 
-# Both caches hold read-only arrays: a phase diagonal takes 16 bytes per
-# basis state, a Pauli table 384. At most 0.43 MB at n = 5 and 55 MB at the
-# dense cap n = 12. 32 tables hold every one a periodic chain of up to 8
-# spins uses; beyond that, noisy runs rebuild them once per block.
+# A phase diagonal takes 16 bytes per basis state: the cache holds at most
+# 0.03 MB at n = 5 and 4.2 MB at the dense cap n = 12.
 @functools.lru_cache(maxsize=64)
 def _zz_phase(n_qubits, a, b, theta):
     """(2^n, 1) read-only diagonal of CNOT(a,b) RZ(b,theta) CNOT(a,b), with
@@ -146,9 +156,8 @@ def _zz_phase(n_qubits, a, b, theta):
     return phase[:, None]
 
 
-@functools.lru_cache(maxsize=32)
 def _pauli_table(n_qubits, a, b, conj):
-    """Read-only (src, phase), each (16, 2^n): row `code` is the fault
+    """(src, phase), each (16, 2^n): row `code` is the fault
     `code` on qubits (a, b), conjugated by CNOT(*conj) when `conj` is
     given. The faulted state is phase[code] * state[src[code]], with every
     phase one of +-1, +-i. For a rotation b is -1 and only the rows of
@@ -171,9 +180,7 @@ def _pauli_table(n_qubits, a, b, conj):
         # Y|0> = i|1>, Y|1> = -i|0>; Z|1> = -|1>; I and X multiply by 1
         phase *= np.where(pauli == 2, np.where(one, -1j, 1j),
                           np.where((pauli == 3) & one, -1.0, 1.0))
-    src = k ^ cnot(flip)
-    src.flags.writeable = phase.flags.writeable = False
-    return src, phase
+    return k ^ cnot(flip), phase
 
 
 def _is_zz(kinds, qa, qb, i, stop):
@@ -218,10 +225,14 @@ def _run(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out):
         codes, col = faults[gate, col].tolist(), col.tolist()
         first = np.searchsorted(gate, np.arange(len(kinds) + 1)).tolist()
 
+    # each table is built once per call, on its first fault: 384 bytes per
+    # basis state, 4N tables on a periodic chain of N spins (75 MB at N = 12)
+    tables = functools.cache(_pauli_table)
+
     def apply_faults(i, conj=None):
         if first[i] == first[i + 1]:
             return
-        src, phase = _pauli_table(n_qubits, qa[i], qb[i], conj)
+        src, phase = tables(n_qubits, qa[i], qb[i], conj)
         for e in range(first[i], first[i + 1]):
             column = batch[:, col[e]]
             np.multiply(phase[codes[e]], column[src[codes[e]]], out=column)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .circuit import KIND_CNOT, Circuit, encode
-from .statevector import StateVector
+from .statevector import check_state
 
 
 @dataclass(frozen=True)
@@ -66,15 +66,16 @@ _DRAW_CHUNK = 32
 
 def noisy_execute(
     circuit: Circuit,
-    initial: StateVector,
+    initial: np.ndarray,
     noise: NoiseParams,
     trajectories: int,
     rng_seed: int,
 ) -> np.ndarray:
     """Trajectory-averaged per-qubit <sigma_z> at every step mark.
 
-    Each trajectory replays the circuit with independently drawn faults and
-    records exact expectations at the step marks; the return value has shape
+    Each trajectory replays the circuit from the (2^n,) complex128 state
+    `initial` (left unchanged) with independently drawn faults and records
+    exact expectations at the step marks; the return value has shape
     (n_steps, n_qubits). Trajectory t draws from a stream seeded by
     (rng_seed, t), so its faults and amplitudes do not depend on how
     trajectories are batched. Its <Z> readout may differ in the last bit
@@ -85,21 +86,20 @@ def noisy_execute(
     """
     if not 1 <= trajectories <= MAX_TRAJECTORIES:
         raise ValueError(f"trajectories must be in [1, 2**32], got {trajectories}")
-    if circuit.n_qubits != initial.n_qubits:
-        raise ValueError("circuit and state widths differ")
+    check_state(initial, circuit.n_qubits, block=False)
     kinds, qa, qb, theta, marks = encode(circuit)
     n = circuit.n_qubits
     if noise.p1 == 0.0 and noise.p2 == 0.0:
         # identity channel: every trajectory is the ideal run, so return it
         # as-is instead of averaging T identical values (which would round)
         out = np.empty((len(marks), n), dtype=np.float64)
-        kernels.run_gates_record(initial.amps.copy(), n, kinds, qa, qb, theta, marks, out)
+        kernels.run_gates_record(initial.copy(), n, kinds, qa, qb, theta, marks, out)
         return out
     acc = np.zeros((len(marks), n), dtype=np.float64)
     for first in range(0, trajectories, TRAJECTORY_BLOCK):
         block = range(first, min(first + TRAJECTORY_BLOCK, trajectories))
         faults = _fault_codes(kinds, noise, rng_seed, block)
-        amps = np.repeat(initial.amps[:, None], len(block), axis=1)
+        amps = np.repeat(initial[:, None], len(block), axis=1)
         out = np.empty((len(block), len(marks), n), dtype=np.float64)
         kernels.run_gates_noisy(amps, n, kinds, qa, qb, theta, marks, faults, out)
         for row in out:  # one trajectory after another, as a running sum

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import z_signs
+from .kernels import basis_qubits, z_signs
 
 
 @dataclass
@@ -19,19 +19,14 @@ class MagnetizationSeries:
 
     times: np.ndarray
     local: np.ndarray
-    total: np.ndarray = field(default=None)  # type: ignore[assignment]
+    total: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=np.float64)
         self.local = np.asarray(self.local, dtype=np.float64)
         if self.local.ndim != 2 or self.local.shape[0] != self.times.shape[0]:
             raise ValueError("local must be (n_times, n_sites)")
-        if self.total is None:
-            self.total = self.local.mean(axis=1)
-        else:
-            self.total = np.asarray(self.total, dtype=np.float64)
-            if self.total.shape != self.times.shape:
-                raise ValueError("total must match times")
+        self.total = self.local.mean(axis=1)
         if np.any(np.abs(self.local) > 1 + 1e-9) or np.any(np.abs(self.total) > 1 + 1e-9):
             raise ValueError("magnetization out of [-1, 1]")
 
@@ -41,9 +36,7 @@ class MagnetizationSeries:
 
     def tail(self, skip: int = 1) -> "MagnetizationSeries":
         """Drop the first `skip` time points (e.g. the t = 0 row)."""
-        return MagnetizationSeries(
-            self.times[skip:], self.local[skip:], self.total[skip:]
-        )
+        return MagnetizationSeries(self.times[skip:], self.local[skip:])
 
 
 @dataclass
@@ -61,9 +54,7 @@ def local_magnetization_from_counts(counts: np.ndarray) -> np.ndarray:
     partial sum of `counts @ z_signs(n)` is an integer, so each M_j is the
     exact count difference over shots."""
     counts = np.asarray(counts)
-    n = counts.shape[0].bit_length() - 1 if counts.ndim == 1 else 0
-    if n < 1 or counts.shape[0] != 1 << n:
-        raise ValueError(f"counts must have shape (2^n,) with n >= 1, got {counts.shape}")
+    n = basis_qubits(counts, "counts", block=False)
     shots = counts.sum()
     if shots < 1:
         raise ValueError("counts must be nonempty")

@@ -223,7 +223,7 @@ def _simulate_local(configs: list[RunConfig], circuits: list[Circuit]) -> np.nda
     encoded = [encode(circuit) for circuit in circuits]
     kinds, qa, qb, _, marks = encoded[0]
     theta = np.column_stack([e[3] for e in encoded])
-    amps = np.repeat(state.amps[:, None], len(configs), axis=1)
+    amps = np.repeat(state[:, None], len(configs), axis=1)
 
     if base.mode == "ideal":
         local[:, 0] = z_expectations(state)

@@ -1,8 +1,11 @@
-"""Dense statevector over 2^n complex amplitudes and its gate/measurement ops.
+"""Dense statevector ops: basis states, gate execution, <Z> readout and
+sampling.
 
-Basis-index convention: qubit j occupies bit j of the basis index, so
-qubit 0 is the least-significant bit. Spin mapping: |1> is spin-down
-(<sigma_z> = -1), |0> is spin-up (+1).
+A state is a C-contiguous complex128 array of shape (2^n,), its amplitudes;
+a block of B states is (2^n, B), one state per column. Basis-index
+convention: qubit j occupies bit j of the basis index, so qubit 0 is the
+least-significant bit. Spin mapping: |1> is spin-down (<sigma_z> = -1), |0>
+is spin-up (+1).
 """
 
 from __future__ import annotations
@@ -15,34 +18,21 @@ from . import kernels
 from .circuit import Circuit, encode
 
 
-class StateVector:
-    """Complex amplitudes of an n-qubit pure state; owned by a single run."""
-
-    __slots__ = ("n_qubits", "amps")
-
-    def __init__(self, n_qubits: int, amps: np.ndarray | None = None):
-        if n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-        dim = 1 << n_qubits
-        if amps is None:
-            amps = np.zeros(dim, dtype=np.complex128)
-            amps[0] = 1.0
-        else:
-            amps = np.ascontiguousarray(amps, dtype=np.complex128)
-            if amps.shape != (dim,):
-                raise ValueError(f"expected {dim} amplitudes, got {amps.shape}")
-        self.n_qubits = n_qubits
-        self.amps = amps
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def probabilities(self) -> np.ndarray:
-        return self.amps.real**2 + self.amps.imag**2
+def check_state(amps: np.ndarray, n_qubits: int, block: bool = True) -> None:
+    """Refuse `amps` unless it is a complex128 state of `n_qubits` qubits,
+    or a (2^n, B) block of them when `block`."""
+    if getattr(amps, "dtype", None) != np.complex128:
+        raise ValueError("amplitudes must be a complex128 array, got "
+                         f"{getattr(amps, 'dtype', type(amps).__name__)}")
+    if kernels.basis_qubits(amps, block=block) != n_qubits:
+        raise ValueError(f"circuit and state widths differ: {n_qubits} qubits, "
+                         f"amplitudes of shape {amps.shape}")
 
 
-def init_basis_state(n_qubits: int, bits: Sequence[int]) -> StateVector:
+def init_basis_state(n_qubits: int, bits: Sequence[int]) -> np.ndarray:
     """Computational basis state with qubit j set to bits[j]."""
+    if n_qubits < 1:
+        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
     if len(bits) != n_qubits:
         raise ValueError(f"expected {n_qubits} bits, got {len(bits)}")
     index = 0
@@ -50,29 +40,28 @@ def init_basis_state(n_qubits: int, bits: Sequence[int]) -> StateVector:
         if b not in (0, 1):
             raise ValueError(f"bits must be 0 or 1, got {b}")
         index |= b << j
-    state = StateVector(n_qubits)
-    state.amps[0] = 0.0
-    state.amps[index] = 1.0
-    return state
+    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
+    amps[index] = 1.0
+    return amps
 
 
-def all_down_state(n_qubits: int) -> StateVector:
+def all_down_state(n_qubits: int) -> np.ndarray:
     """All spins down: every <sigma_z> = -1."""
     return init_basis_state(n_qubits, [1] * n_qubits)
 
 
-def execute(circuit: Circuit, state: StateVector) -> StateVector:
-    """Run all gates of `circuit` on `state` in place; returns `state`."""
-    if circuit.n_qubits != state.n_qubits:
-        raise ValueError("circuit and state widths differ")
+def execute(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
+    """Run all gates of `circuit` in place on a (2^n,) state or on every
+    column of a (2^n, B) block; returns `amps`."""
+    check_state(amps, circuit.n_qubits)
     kinds, qa, qb, theta, _ = encode(circuit)
-    kernels.run_gates(state.amps, state.n_qubits, kinds, qa, qb, theta)
-    return state
+    kernels.run_gates(amps, circuit.n_qubits, kinds, qa, qb, theta)
+    return amps
 
 
-def z_expectations(state: StateVector) -> np.ndarray:
-    """All per-qubit <sigma_z> at once."""
-    return kernels.z_expectations(state.amps, state.n_qubits)
+def z_expectations(amps: np.ndarray) -> np.ndarray:
+    """All per-qubit <sigma_z> at once: (n,) for a state, (B, n) for a block."""
+    return kernels.z_expectations(amps, kernels.basis_qubits(amps))
 
 
 def sample_bitstrings(amps: np.ndarray, shots: int, rng_seed) -> np.ndarray:

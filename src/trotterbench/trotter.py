@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 from .circuit import Circuit, cnot, rx, rz
@@ -34,6 +35,10 @@ class TfimParams:
     periodic: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.n_spins, numbers.Integral):
+            raise ValueError(f"n_spins must be an integer, got {self.n_spins!r}")
+        if not isinstance(self.periodic, bool):
+            raise ValueError(f"periodic must be True or False, got {self.periodic!r}")
         if self.n_spins < 2:
             raise ValueError(f"n_spins must be >= 2, got {self.n_spins}")
         if self.dt <= 0:

@@ -29,16 +29,16 @@ def _one_state_local(config: RunConfig) -> np.ndarray:
     local = np.empty((config.steps + 1, config.n))
     if config.mode == "ideal":
         local[0] = z_expectations(state)
-        run_gates_record(state.amps, config.n, kinds, qa, qb, theta, marks, local[1:])
+        run_gates_record(state, config.n, kinds, qa, qb, theta, marks, local[1:])
         return local
     local[0] = local_magnetization_from_counts(
-        sample_bitstrings(state.amps, config.shots, (config.seed, 0)))
+        sample_bitstrings(state, config.shots, (config.seed, 0)))
     prev = 0
     for k, mark in enumerate(marks, start=1):
-        run_gates(state.amps, config.n, kinds[prev:mark], qa[prev:mark], qb[prev:mark],
+        run_gates(state, config.n, kinds[prev:mark], qa[prev:mark], qb[prev:mark],
                   theta[prev:mark])
         local[k] = local_magnetization_from_counts(
-            sample_bitstrings(state.amps, config.shots, (config.seed, k)))
+            sample_bitstrings(state, config.shots, (config.seed, k)))
         prev = mark
     return local
 
@@ -89,7 +89,7 @@ def test_block_refuses_other_angles_than_rx_per_column():
                 for j in (1.0, 2.0)]
     kinds, qa, qb, _, marks = encode(circuits[0])
     theta = np.column_stack([encode(c)[3] for c in circuits])
-    amps = np.repeat(all_down_state(3).amps[:, None], 2, axis=1)
+    amps = np.repeat(all_down_state(3)[:, None], 2, axis=1)
     with pytest.raises(ValueError, match="only RX angles"):
         run_gates(amps, 3, kinds, qa, qb, theta)
     with pytest.raises(ValueError, match="columns"):

@@ -284,7 +284,7 @@ class TestExactSeries:
         params = TfimParams(n_spins=4, field=2.0)
         h = build_hamiltonian(params)
         spec = spectrum(h)
-        psi0 = all_down_state(4).amps
+        psi0 = all_down_state(4)
         e0 = np.real(psi0.conj() @ h @ psi0)
         evolved = spec.evolve(psi0, np.array([0.5, 1.5, 4.0]))
         assert evolved.shape == (16, 3)
@@ -309,7 +309,7 @@ class TestExactSeries:
         times = 0.2 * np.arange(21)
         for n in range(2, 9):
             signs = z_oracle(n)
-            psi0 = all_down_state(n).amps
+            psi0 = all_down_state(n)
             for periodic in (False, True):
                 for field in (0.0, 1.0, 2.5):
                     params = TfimParams(n_spins=n, field=field, periodic=periodic)
@@ -329,6 +329,10 @@ class TestExactSeries:
                 with pytest.raises(ValueError, match="read-only"):
                     one.local[0, 0] = 0.0
             np.testing.assert_array_equal(series[0].local, series[1].local)
+
+    def test_refuses_an_empty_list_by_name(self):
+        with pytest.raises(ValueError, match="params"):
+            exact_series([], 0.2 * np.arange(6))
 
     def test_refuses_a_list_that_mixes_boundaries(self):
         chains = [TfimParams(n_spins=4), TfimParams(n_spins=4, periodic=True)]
@@ -406,7 +410,7 @@ class TestFreeFermionSeries:
         for n in range(2, 9):
             params = TfimParams(n_spins=n, coupling=coupling, field=field)
             h = naive_hamiltonian(n, coupling, field)
-            psi = evolve_hermitian(h, all_down_state(n).amps, GRID)
+            psi = evolve_hermitian(h, all_down_state(n), GRID)
             np.testing.assert_allclose(
                 fermion.z_series([params], GRID)[0], np.abs(psi) ** 2 @ z_oracle(n),
                 rtol=0, atol=1e-13, err_msg=f"n={n}",

@@ -16,6 +16,7 @@ from trotterbench import (
 )
 from trotterbench.circuit import Circuit, cnot, encode, rx, rz
 from trotterbench.kernels import run_gates_noisy, run_gates_record
+from trotterbench import kernels
 from trotterbench import noise as noise_module
 from trotterbench.noise import (
     DEVICE_LIKE,
@@ -53,7 +54,7 @@ class TestNoisyExecute:
         noisy = noisy_execute(circ, all_down_state(5), NoiseParams(), 3, 42)
         kinds, qa, qb, theta, marks = encode(circ)
         ideal = np.empty((len(marks), 5))
-        run_gates_record(all_down_state(5).amps, 5, kinds, qa, qb, theta, marks, ideal)
+        run_gates_record(all_down_state(5), 5, kinds, qa, qb, theta, marks, ideal)
         np.testing.assert_array_equal(noisy, ideal)
 
     def test_determinism(self):
@@ -120,7 +121,7 @@ class TestNoisyExecute:
         circ = build_evolution_circuit(params, 3, TrotterOrder.SYMMETRIC)
         noise = NoiseParams(p1=0.5, p2=0.5)
         trajectories, seed, n = TRAJECTORY_BLOCK + 3, 17, 3
-        psi0 = all_down_state(n).amps
+        psi0 = all_down_state(n)
         gates = [gate_full_matrix(g, n) for g in circ.gates]
         idx = np.arange(2**n)
         signs = np.stack([1.0 - 2.0 * ((idx >> j) & 1) for j in range(n)], axis=1)
@@ -186,6 +187,43 @@ class TestNoisyExecute:
         circ.append(cnot(0, 1)).mark_step()
         with pytest.raises(ValueError):
             noisy_execute(circ, all_down_state(2), NoiseParams(), 0, 1)
+
+    @pytest.mark.parametrize("initial, message", [
+        (np.array([0.0, 0.0, 0.0, 1.0]), "complex128"),
+        (all_down_state(3), "widths differ"),
+        (np.repeat(all_down_state(2)[:, None], 2, axis=1), "shape"),
+    ])
+    def test_invalid_initial_state(self, initial, message):
+        circ = Circuit(2)
+        circ.append(cnot(0, 1)).mark_step()
+        for noise in (NoiseParams(), DEVICE_LIKE):
+            with pytest.raises(ValueError, match=message):
+                noisy_execute(circ, initial, noise, 4, 1)
+
+    def test_initial_state_is_left_as_it_is(self):
+        circ = build_evolution_circuit(TfimParams(n_spins=3), 2, TrotterOrder.FIRST)
+        initial = all_down_state(3)
+        for noise in (NoiseParams(), DEVICE_LIKE):
+            noisy_execute(circ, initial, noise, 4, 1)
+            np.testing.assert_array_equal(initial, all_down_state(3))
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_each_fault_table_is_built_once_per_block(self, periodic, monkeypatch):
+        # at N = 10 a block reads 4N - 3 (open) or 4N (periodic) tables,
+        # more than a process-wide cache of 32 would keep across one step
+        calls = []
+
+        def counted(*key):
+            calls.append(key)
+            return table(*key)
+
+        table = kernels._pauli_table
+        monkeypatch.setattr(kernels, "_pauli_table", counted)
+        params = TfimParams(n_spins=10, field=2.0, periodic=periodic)
+        circ = build_evolution_circuit(params, 3, TrotterOrder.FIRST)
+        noisy_execute(circ, all_down_state(10), NoiseParams(p1=0.05, p2=0.2), 64, 3)
+        assert len(set(calls)) == (40 if periodic else 37)
+        assert len(calls) == len(set(calls))
 
 
 class TestFaultStreams:

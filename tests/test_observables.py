@@ -12,7 +12,7 @@ from trotterbench import (
     sample_bitstrings,
     scaling_fit,
 )
-from trotterbench.statevector import StateVector, z_expectations
+from trotterbench.statevector import z_expectations
 
 from oracles import kron_at, SZ
 
@@ -29,7 +29,7 @@ class TestLocalFromState:
         )
 
     def test_uniform_superposition(self):
-        state = StateVector(2, np.full(4, 0.5))
+        state = np.full(4, 0.5, dtype=np.complex128)
         np.testing.assert_allclose(
             z_expectations(state), [0, 0], atol=1e-15
         )
@@ -38,10 +38,10 @@ class TestLocalFromState:
         # site average of M_j equals <(1/N) sum sz_j> computed via kron matrices
         rng = np.random.default_rng(8)
         raw = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        state = StateVector(4, raw / np.linalg.norm(raw))
+        state = raw / np.linalg.norm(raw)
         m = z_expectations(state)
         op = sum(kron_at(SZ, j, 4) for j in range(4)) / 4
-        direct = np.real(state.amps.conj() @ op @ state.amps)
+        direct = np.real(state.conj() @ op @ state)
         assert m.mean() == pytest.approx(direct, abs=1e-12)
 
 
@@ -87,12 +87,12 @@ class TestLocalFromCounts:
         # errors of the exact expectation
         rng = np.random.default_rng(4)
         raw = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        state = StateVector(5, raw / np.linalg.norm(raw))
+        state = raw / np.linalg.norm(raw)
         exact = z_expectations(state)
         shots, seeds = 1024, 200
         estimates = np.empty((seeds, 5))
         for s in range(seeds):
-            counts = sample_bitstrings(state.amps, shots, s)
+            counts = sample_bitstrings(state, shots, s)
             estimates[s] = local_magnetization_from_counts(counts)
         sem = np.sqrt((1 - exact**2) / shots) / np.sqrt(seeds)
         assert np.all(np.abs(estimates.mean(axis=0) - exact) <= 3 * sem + 1e-12)
@@ -114,6 +114,12 @@ class TestMagnetizationSeries:
         tail = series.tail(1)
         np.testing.assert_allclose(tail.times, [0.2, 0.4])
         assert tail.local.shape == (2, 2)
+        np.testing.assert_array_equal(tail.total, series.total[1:])
+
+    def test_total_is_not_an_argument(self):
+        # the total is always the site mean, so none can disagree with `local`
+        with pytest.raises(TypeError):
+            MagnetizationSeries(np.array([0.0]), np.array([[0.5, 0.1]]), np.array([0.9]))
 
 
 class TestErrorSeries:

@@ -411,6 +411,10 @@ class TestCli:
         (["sweep", "--g-list", "1,1.0000000000001"], None, "g_1"),
         # a seed only shots and noisy mode read
         (["run", "--seed", "5"], None, "seed"),
+        # an empty list entry, in a flag or a config file's string
+        (["sweep", "--g-list", "1,,2"], None, "--g-list"),
+        (["sweep", "--g-list", "1,2,"], None, "--g-list"),
+        (["scaling"], {"dt_list": "0.05,0.1,0.2,"}, "--dt-list"),
     ])
     def test_value_the_mode_ignores_exit_2_before_any_work(
         self, argv, file_values, key, tmp_path, monkeypatch, capsys

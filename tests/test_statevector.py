@@ -22,30 +22,36 @@ from trotterbench import kernels
 from trotterbench.kernels import z_signs
 from trotterbench.circuit import Circuit
 from trotterbench.exact import build_hamiltonian, spectrum
-from trotterbench.statevector import StateVector, z_expectations
+from trotterbench.statevector import z_expectations
 from trotterbench.trotter import TrotterOrder
 
 
 def apply_one(state, gate):
     """Run `gate` on `state` as a one-gate circuit."""
-    return execute(Circuit(state.n_qubits).append(gate), state)
+    return execute(Circuit(state.shape[0].bit_length() - 1).append(gate), state)
+
+
+def normalized(raw):
+    """`raw` as unit-norm complex128 amplitudes."""
+    return np.asarray(raw, dtype=np.complex128) / np.linalg.norm(raw)
 
 
 class TestInitBasisState:
     def test_single_qubit_zero(self):
         state = init_basis_state(1, [0])
-        np.testing.assert_array_equal(state.amps, [1.0, 0.0])
+        assert state.dtype == np.complex128 and state.flags.c_contiguous
+        np.testing.assert_array_equal(state, [1.0, 0.0])
 
     def test_all_down_five_spins(self):
         state = init_basis_state(5, [1, 1, 1, 1, 1])
-        assert state.amps[31] == 1.0
+        assert state[31] == 1.0
         for j in range(5):
             assert z_expectations(state)[j] == pytest.approx(-1.0, abs=1e-15)
 
     def test_bit_encoding_qubit0_is_lsb(self):
         state = init_basis_state(2, [1, 0])
-        assert state.amps[1] == 1.0
-        assert state.norm() == pytest.approx(1.0)
+        assert state[1] == 1.0
+        assert np.linalg.norm(state) == pytest.approx(1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -55,38 +61,72 @@ class TestInitBasisState:
         with pytest.raises(ValueError):
             init_basis_state(2, [0, 2])
 
+    def test_zero_qubits(self):
+        with pytest.raises(ValueError, match="n_qubits"):
+            init_basis_state(0, [])
+
 
 class TestApplyGate:
     def test_rx_pi_is_minus_i_x(self):
         state = init_basis_state(1, [0])
         apply_one(state, rx(0, math.pi))
-        np.testing.assert_allclose(state.amps, [0.0, -1j], atol=1e-15)
+        np.testing.assert_allclose(state, [0.0, -1j], atol=1e-15)
 
     def test_rz_phase_on_zero(self):
         theta = 0.713
         state = init_basis_state(1, [0])
         apply_one(state, rz(0, theta))
-        np.testing.assert_allclose(state.amps, [np.exp(-0.5j * theta), 0.0], atol=1e-15)
+        np.testing.assert_allclose(state, [np.exp(-0.5j * theta), 0.0], atol=1e-15)
 
     def test_cnot_truth_table(self):
         state = init_basis_state(2, [1, 0])
         apply_one(state, cnot(0, 1))
         expected = init_basis_state(2, [1, 1])
-        np.testing.assert_allclose(state.amps, expected.amps, atol=1e-15)
+        np.testing.assert_allclose(state, expected, atol=1e-15)
 
     def test_cnot_control_zero_does_nothing(self):
         state = init_basis_state(2, [0, 1])
         apply_one(state, cnot(0, 1))
         expected = init_basis_state(2, [0, 1])
-        np.testing.assert_allclose(state.amps, expected.amps, atol=1e-15)
+        np.testing.assert_allclose(state, expected, atol=1e-15)
 
-    def test_strided_amplitudes_are_stored_contiguously(self):
-        # the engine reshapes amplitudes in place, which a strided view forbids
+    def test_strided_amplitudes_are_refused(self):
+        # the engine reshapes amplitudes in place, which a strided view
+        # forbids; a copy would leave the caller's array as it was
         raw = np.zeros(8, dtype=complex)
         raw[2] = 1.0
-        state = StateVector(2, raw[::2])  # |q0=1, q1=0>
-        apply_one(state, cnot(0, 1))
-        np.testing.assert_array_equal(state.amps, [0, 0, 0, 1])
+        with pytest.raises(ValueError, match="C-contiguous"):
+            apply_one(raw[::2], cnot(0, 1))  # |q0=1, q1=0>
+        assert raw[2] == 1.0 and raw[6] == 0.0
+
+    def test_execute_runs_in_place_and_returns_its_input(self):
+        state = init_basis_state(2, [1, 0])
+        assert apply_one(state, cnot(0, 1)) is state
+        np.testing.assert_array_equal(state, [0, 0, 0, 1])
+
+    @pytest.mark.parametrize("amps", [
+        np.array([1.0, 0.0, 0.0, 0.0]),  # float64
+        np.array([1, 0, 0, 0], dtype=np.complex64),
+        [1.0, 0.0, 0.0, 0.0],  # not an array
+    ])
+    def test_amplitudes_other_than_complex128_are_refused(self, amps):
+        with pytest.raises(ValueError, match="complex128"):
+            execute(Circuit(2).append(cnot(0, 1)), amps)
+
+    @pytest.mark.parametrize("shape", [(8,), (2,), (4, 2, 2), (3,), ()])
+    def test_amplitudes_of_another_width_are_refused(self, shape):
+        with pytest.raises(ValueError, match="amplitudes"):
+            execute(Circuit(2).append(cnot(0, 1)), np.zeros(shape, dtype=np.complex128))
+
+    def test_block_runs_every_column(self):
+        circ = build_evolution_circuit(TfimParams(n_spins=3), 2, TrotterOrder.SYMMETRIC)
+        rng = np.random.default_rng(5)
+        block = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+        columns = [execute(circ, block[:, c].copy()) for c in range(3)]
+        execute(circ, block)
+        np.testing.assert_allclose(block, np.column_stack(columns), atol=1e-14)
+        np.testing.assert_allclose(z_expectations(block),
+                                   [z_expectations(c) for c in columns], atol=1e-14)
 
     def test_out_of_range_qubit(self):
         state = init_basis_state(2, [0, 0])
@@ -96,10 +136,10 @@ class TestApplyGate:
     def test_norm_preserved_per_gate(self):
         rng = np.random.default_rng(3)
         raw = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        state = StateVector(3, raw / np.linalg.norm(raw))
+        state = normalized(raw)
         for gate in (rx(0, 0.3), rz(1, -1.2), cnot(2, 0)):
             apply_one(state, gate)
-            assert abs(state.norm() - 1.0) < 1e-12
+            assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
 
 class TestNormAndUnitarity:
@@ -119,7 +159,7 @@ class TestNormAndUnitarity:
                 a, b = rng.choice(n, size=2, replace=False)
                 circ.append(cnot(int(a), int(b)))
         execute(circ, state)
-        assert abs(state.norm() - 1.0) <= 1e-9
+        assert abs(np.linalg.norm(state) - 1.0) <= 1e-9
 
     @pytest.mark.parametrize("gate", [rx(0, 0.37), rz(0, -2.2), cnot(0, 1)])
     def test_gate_unitarity(self, gate):
@@ -139,7 +179,7 @@ class TestExpectationZ:
             assert z_expectations(state)[j] == pytest.approx(-1.0)
 
     def test_zero_on_equal_superposition(self):
-        state = StateVector(1, np.array([1, 1]) / math.sqrt(2))
+        state = normalized([1, 1])
         assert z_expectations(state)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_out_of_range(self):
@@ -151,7 +191,7 @@ class TestExpectationZ:
     def test_z_expectations_matches_loop(self):
         rng = np.random.default_rng(7)
         raw = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        state = StateVector(5, raw / np.linalg.norm(raw))
+        state = normalized(raw)
         via_all = z_expectations(state)
         probs = np.abs(raw / np.linalg.norm(raw)) ** 2
         via_one = [sum(p * (1 - 2 * ((i >> j) & 1)) for i, p in enumerate(probs))
@@ -183,25 +223,25 @@ def bit_tally(counts, n):
 class TestSampling:
     def test_basis_state_deterministic_outcome(self):
         state = init_basis_state(5, [1, 0, 1, 1, 0])
-        counts = sample_bitstrings(state.amps, 1024, 9)
+        counts = sample_bitstrings(state, 1024, 9)
         expected = np.zeros(32, dtype=np.int64)
         expected[0b01101] = 1024  # qubit j is bit j: qubits 0, 2 and 3 read 1
         np.testing.assert_array_equal(counts, expected)
 
     def test_superposition_counts_within_binomial_bound(self):
-        state = StateVector(1, np.array([1, 1]) / math.sqrt(2))
-        counts = sample_bitstrings(state.amps, 1024, 123)
+        state = normalized([1, 1])
+        counts = sample_bitstrings(state, 1024, 123)
         assert abs(counts[0] - 512) <= 5 * 16  # 5 sigma, sigma = sqrt(1024/4)
 
     def test_determinism(self):
-        state = StateVector(1, np.array([1, 1]) / math.sqrt(2))
-        a = sample_bitstrings(state.amps, 1024, 77)
-        b = sample_bitstrings(state.amps, 1024, 77)
+        state = normalized([1, 1])
+        a = sample_bitstrings(state, 1024, 77)
+        b = sample_bitstrings(state, 1024, 77)
         np.testing.assert_array_equal(a, b)
 
     def test_invalid_shots(self):
         with pytest.raises(ValueError):
-            sample_bitstrings(init_basis_state(1, [0]).amps, 0, 1)
+            sample_bitstrings(init_basis_state(1, [0]), 0, 1)
 
     def test_marginals_converge_over_seeds(self):
         # empirical per-bit frequency within 5 binomial sigma for >= 99% of
@@ -215,7 +255,7 @@ class TestSampling:
         ok = 0
         total = 0
         for seed in range(100):
-            est = bit_tally(sample_bitstrings(state.amps, shots, seed), 5)
+            est = bit_tally(sample_bitstrings(state, shots, seed), 5)
             sigma = np.sqrt((1.0 - exact**2) / shots)
             for j in range(5):
                 total += 1
@@ -224,8 +264,8 @@ class TestSampling:
         assert ok / total >= 0.99
 
     def test_estimator_matches_expectation_at_large_shots(self):
-        state = StateVector(2, np.array([0.6, 0.0, 0.48, 0.64]))
-        est = bit_tally(sample_bitstrings(state.amps, 10**6, 5), 2)
+        state = np.array([0.6, 0.0, 0.48, 0.64], dtype=np.complex128)
+        est = bit_tally(sample_bitstrings(state, 10**6, 5), 2)
         for j in range(2):
             assert abs(est[j] - z_expectations(state)[j]) <= 0.01
 
@@ -235,10 +275,10 @@ class TestSampling:
         rng = np.random.default_rng(11)
         for n in range(1, 11):
             raw = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-            state = StateVector(n, raw / np.linalg.norm(raw))
+            state = normalized(raw)
             for seed in (0, 7, (3, 5), 2**40):
                 for shots in (1, 64, 1024):
-                    counts = sample_bitstrings(state.amps, shots, seed)
+                    counts = sample_bitstrings(state, shots, seed)
                     assert counts.dtype == np.int64 and counts.shape == (2**n,)
                     assert counts.sum() == shots
                     assert np.array_equal(local_magnetization_from_counts(counts),
@@ -246,7 +286,7 @@ class TestSampling:
 
     def test_counts_invalid_input(self):
         with pytest.raises(ValueError):
-            sample_bitstrings(StateVector(1, np.array([1.0, 1.0])).amps, 8, 1)
+            sample_bitstrings(np.array([1.0, 1.0], dtype=np.complex128), 8, 1)
 
 
 class TestFidelity:
@@ -257,5 +297,5 @@ class TestFidelity:
         state = all_down_state(4)
         execute(circ, state)
         h = build_hamiltonian(params)
-        psi = spectrum(h).propagator(5 * 0.3) @ all_down_state(4).amps
-        assert abs(np.vdot(state.amps, psi)) ** 2 == pytest.approx(1.0, abs=1e-10)
+        psi = spectrum(h).propagator(5 * 0.3) @ all_down_state(4)
+        assert abs(np.vdot(state, psi)) ** 2 == pytest.approx(1.0, abs=1e-10)

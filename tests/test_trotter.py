@@ -56,6 +56,16 @@ class TestParams:
         with pytest.raises(ValueError, match=f"^{message}$"):
             TfimParams(n_spins=3, **{key: value})
 
+    @pytest.mark.parametrize("key, value", [
+        ("periodic", "false"),  # a truthy string would build the periodic chain
+        ("periodic", 1),
+        ("n_spins", 4.5),
+        ("n_spins", 4.0),
+    ])
+    def test_value_of_another_type_is_named(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            TfimParams(**{"n_spins": 4, key: value})
+
     def test_bond_parity_n5(self):
         assert odd_bonds(5) == [(0, 1), (2, 3)]
         assert even_bonds(5) == [(1, 2), (3, 4)]
