@@ -4,7 +4,7 @@ chain, dense spin-flip sectors on the periodic chain."""
 
 __version__ = "0.1.0"
 
-from .circuit import Circuit, Gate, circuit_unitary, cnot, gate_counts, rx, rz
+from .circuit import Circuit, circuit_unitary, gate_counts
 from .exact import build_hamiltonian, exact_series
 from .kernels import active_backend
 from .noise import DEVICE_LIKE, NoiseParams, noisy_execute
@@ -40,10 +40,6 @@ from .trotter import (
 __all__ = [
     "__version__",
     "Circuit",
-    "Gate",
-    "rx",
-    "rz",
-    "cnot",
     "circuit_unitary",
     "gate_counts",
     "init_basis_state",

@@ -1,15 +1,17 @@
 """Gate-list circuit representation shared by synthesis, execution, and verification.
 
-A circuit is an ordered list of RX / RZ / CNOT gates plus step marks that
-record where each Trotter step ends. Gates are stored in temporal order:
-the last gate in the list is the leftmost factor of the corresponding
-operator product.
+A circuit holds its gates as the kernels read them: parallel lists `kinds`,
+`qa`, `qb` and `theta`, one entry per gate, plus step marks that record
+where each Trotter step ends. `qa` is the rotation qubit or CNOT control,
+`qb` the CNOT target (-1 for rotations), and `theta` the rotation angle (0.0
+for CNOT). Gates are added with `rx`, `rz` and `cnot` and stored in temporal
+order: the last gate is the leftmost factor of the corresponding operator
+product.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,84 +29,61 @@ _KIND_NAMES = {KIND_RX: "RX", KIND_RZ: "RZ", KIND_CNOT: "CNOT"}
 MAX_DENSE_SPINS = 12
 
 
-
-@dataclass(frozen=True)
-class Gate:
-    """One gate: RX(qubit, theta), RZ(qubit, theta) or CNOT(control, target).
-
-    For RX/RZ `q0` is the target qubit and `q1` is unused (-1). For CNOT
-    `q0` is the control and `q1` the target.
-    """
-
-    kind: int
-    q0: int
-    q1: int = -1
-    theta: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in _KIND_NAMES:
-            raise ValueError(f"unknown gate kind {self.kind}")
-        if self.q0 < 0:
-            raise ValueError(f"negative qubit index {self.q0}")
-        if self.kind == KIND_CNOT:
-            if self.q1 < 0:
-                raise ValueError(f"negative qubit index {self.q1}")
-            if self.q0 == self.q1:
-                raise ValueError("CNOT control and target must differ")
-        elif not math.isfinite(self.theta):
-            raise ValueError(f"non-finite rotation angle {self.theta}")
-
-    @property
-    def name(self) -> str:
-        return _KIND_NAMES[self.kind]
-
-    def qubits(self) -> tuple[int, ...]:
-        if self.kind == KIND_CNOT:
-            return (self.q0, self.q1)
-        return (self.q0,)
-
-
-def rx(qubit: int, theta: float) -> Gate:
-    return Gate(KIND_RX, qubit, theta=theta)
-
-
-def rz(qubit: int, theta: float) -> Gate:
-    return Gate(KIND_RZ, qubit, theta=theta)
-
-
-def cnot(control: int, target: int) -> Gate:
-    return Gate(KIND_CNOT, control, target)
-
-
 class Circuit:
-    """Ordered gate list over `n_qubits` qubits with Trotter-step end marks.
+    """Gates over `n_qubits` qubits, as parallel lists, with Trotter-step end marks.
 
-    Synthesis builds a circuit with `append` / `mark_step`; afterwards it is
-    treated as an immutable value (execution never mutates a circuit).
+    Synthesis builds a circuit with `rx` / `rz` / `cnot` / `mark_step`;
+    afterwards it is treated as an immutable value (execution never mutates
+    a circuit).
     """
 
     def __init__(self, n_qubits: int):
         if n_qubits < 1:
             raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
         self.n_qubits = n_qubits
-        self.gates: list[Gate] = []
+        self.kinds: list[int] = []
+        self.qa: list[int] = []
+        self.qb: list[int] = []
+        self.theta: list[float] = []
         self.step_marks: list[int] = []
 
     def __len__(self) -> int:
-        return len(self.gates)
+        return len(self.kinds)
 
-    def append(self, gate: Gate) -> "Circuit":
-        for q in gate.qubits():
-            if q >= self.n_qubits:
-                raise ValueError(
-                    f"qubit {q} out of range for {self.n_qubits}-qubit circuit"
-                )
-        self.gates.append(gate)
+    def _qubit(self, q: int) -> int:
+        if not 0 <= q < self.n_qubits:
+            raise ValueError(f"qubit {q} out of range for {self.n_qubits}-qubit circuit")
+        return q
+
+    def _add(self, kind: int, a: int, b: int, theta: float) -> "Circuit":
+        self.kinds.append(kind)
+        self.qa.append(a)
+        self.qb.append(b)
+        self.theta.append(theta)
         return self
+
+    def _rotation(self, kind: int, qubit: int, theta: float) -> "Circuit":
+        if not math.isfinite(theta):
+            raise ValueError(f"non-finite rotation angle {theta}")
+        return self._add(kind, self._qubit(qubit), -1, theta)
+
+    def rx(self, qubit: int, theta: float) -> "Circuit":
+        """Append RX(theta) = exp(-i theta/2 X) on `qubit`."""
+        return self._rotation(KIND_RX, qubit, theta)
+
+    def rz(self, qubit: int, theta: float) -> "Circuit":
+        """Append RZ(theta) = exp(-i theta/2 Z) on `qubit`."""
+        return self._rotation(KIND_RZ, qubit, theta)
+
+    def cnot(self, control: int, target: int) -> "Circuit":
+        """Append CNOT with the given control and target."""
+        if control == target:
+            raise ValueError("CNOT control and target must differ")
+        return self._add(KIND_CNOT, self._qubit(control), self._qubit(target), 0.0)
 
     def mark_step(self) -> "Circuit":
         """Record the end of a Trotter step at the current gate count."""
-        n = len(self.gates)
+        n = len(self)
         if self.step_marks and self.step_marks[-1] >= n:
             raise ValueError("step mark must advance past the previous one")
         self.step_marks.append(n)
@@ -114,9 +93,12 @@ class Circuit:
         """Append all gates and step marks of `other` (same width) in order."""
         if other.n_qubits != self.n_qubits:
             raise ValueError("circuit widths differ")
-        base = len(self.gates)
-        self.gates.extend(other.gates)
-        self.step_marks.extend(base + m for m in other.step_marks)
+        marks = [len(self) + m for m in other.step_marks]
+        self.kinds.extend(other.kinds)
+        self.qa.extend(other.qa)
+        self.qb.extend(other.qb)
+        self.theta.extend(other.theta)
+        self.step_marks.extend(marks)
         return self
 
     def n_steps(self) -> int:
@@ -124,17 +106,15 @@ class Circuit:
 
 
 def encode(circuit: Circuit):
-    """Pack the gate list into flat arrays for the execution kernels.
+    """The gate lists as flat arrays for the execution kernels.
 
-    Returns (kinds, qa, qb, theta, marks) where qa is the rotation qubit or
-    CNOT control, qb the CNOT target (-1 for rotations).
+    Returns (kinds, qa, qb, theta, marks).
     """
-    gates = circuit.gates
-    return (np.array([g.kind for g in gates], dtype=np.int8),
-            np.array([g.q0 for g in gates], dtype=np.int64),
-            np.array([g.q1 for g in gates], dtype=np.int64),
-            np.array([g.theta for g in gates], dtype=np.float64),
-            np.asarray(circuit.step_marks, dtype=np.int64))
+    return (np.array(circuit.kinds, dtype=np.int8),
+            np.array(circuit.qa, dtype=np.int64),
+            np.array(circuit.qb, dtype=np.int64),
+            np.array(circuit.theta, dtype=np.float64),
+            np.array(circuit.step_marks, dtype=np.int64))
 
 
 def gate_counts(circuit: Circuit) -> dict:
@@ -143,7 +123,7 @@ def gate_counts(circuit: Circuit) -> dict:
     Returns {"total": {...}, "per_step": [{...}, ...], "n_gates": int}.
     Gates after the last step mark (if any) are counted in the total only.
     """
-    kinds = [g.kind for g in circuit.gates]
+    kinds = circuit.kinds
 
     def tally(part):
         return {name: part.count(kind) for kind, name in _KIND_NAMES.items()}

@@ -142,9 +142,9 @@ def _value_list(args, extras: dict) -> list[float]:
         raise ValueError(f"{flag} is required")
     if isinstance(raw, str):
         return _parse_list(raw, flag)
-    if isinstance(raw, list) and all(map(is_number, raw)):
+    if isinstance(raw, list) and raw and all(map(is_number, raw)):
         return [float(v) for v in raw]
-    raise ValueError(f"{key} must be a string or a list of numbers, got {raw!r}")
+    raise ValueError(f"{key} must be a string or a nonempty list of numbers, got {raw!r}")
 
 
 def main(argv=None) -> int:

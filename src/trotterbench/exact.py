@@ -179,6 +179,8 @@ def exact_series(params: list[TfimParams], times) -> list[MagnetizationSeries]:
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.shape[0] < 1:
         raise ValueError("times must be a nonempty 1-d array")
+    if not np.isfinite(times).all():
+        raise ValueError(f"times must be finite, got {times.tolist()}")
     if times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be ascending and start at 0")
     periodic = params[0].periodic

@@ -27,8 +27,10 @@ class MagnetizationSeries:
         if self.local.ndim != 2 or self.local.shape[0] != self.times.shape[0]:
             raise ValueError("local must be (n_times, n_sites)")
         self.total = self.local.mean(axis=1)
-        if np.any(np.abs(self.local) > 1 + 1e-9) or np.any(np.abs(self.total) > 1 + 1e-9):
-            raise ValueError("magnetization out of [-1, 1]")
+        # written so that NaN fails the bound; `total` is the site mean, so
+        # it lies in the bound when `local` does
+        if not (np.abs(self.local) <= 1 + 1e-9).all():
+            raise ValueError("local magnetization must be a number in [-1, 1]")
 
     @property
     def n_sites(self) -> int:
@@ -90,7 +92,10 @@ def scaling_fit(dts, errs) -> tuple[float, float]:
     # not np.unique: its first call imports numpy.ma, 15 ms and 1.6 MB of RSS
     if len(set(dts.tolist())) < 3:
         raise ValueError("need at least 3 distinct dt values to fit a slope")
-    if np.any(dts <= 0) or np.any(errs <= 0):
-        raise ValueError("dts and errs must be positive")
+    # NaN passes a `<= 0` test, and a NaN or inf reaches LAPACK, which
+    # prints to stderr before it raises
+    for name, values in (("dts", dts), ("errs", errs)):
+        if not (np.isfinite(values) & (values > 0)).all():
+            raise ValueError(f"{name} must be positive and finite, got {values.tolist()}")
     slope, intercept = np.polyfit(np.log(dts), np.log(errs), 1)
     return float(slope), float(intercept)

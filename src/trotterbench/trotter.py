@@ -15,7 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .circuit import Circuit, cnot, rx, rz
+from .circuit import Circuit
 
 
 class TrotterOrder(str, enum.Enum):
@@ -77,15 +77,13 @@ def even_bonds(n_spins: int, periodic: bool = False) -> list[tuple[int, int]]:
 def _x_layer(circ: Circuit, n: int, theta: float, reverse: bool = False) -> None:
     sites = range(n - 1, -1, -1) if reverse else range(n)
     for j in sites:
-        circ.append(rx(j, theta))
+        circ.rx(j, theta)
 
 
 def _zz_layer(circ: Circuit, bonds, theta: float, reverse: bool = False) -> None:
     seq = reversed(bonds) if reverse else bonds
     for a, b in seq:
-        circ.append(cnot(a, b))
-        circ.append(rz(b, theta))
-        circ.append(cnot(a, b))
+        circ.cnot(a, b).rz(b, theta).cnot(a, b)
 
 
 def first_order_step(params: TfimParams) -> Circuit:

@@ -7,6 +7,8 @@ kernels or the bit-arithmetic Hamiltonian builder it verifies.
 
 import numpy as np
 
+from trotterbench.circuit import Circuit
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -125,20 +127,44 @@ def cnot_matrix(control, target, n):
     return m
 
 
-def gate_full_matrix(gate, n):
-    if gate.name == "RX":
-        return kron_at(rx_matrix(gate.theta), gate.q0, n)
-    if gate.name == "RZ":
-        return kron_at(rz_matrix(gate.theta), gate.q0, n)
-    return cnot_matrix(gate.q0, gate.q1, n)
+def gate_full_matrix(kind, qa, qb, theta, n):
+    """One gate, given as a circuit stores it (kind 0=RX, 1=RZ, 2=CNOT), as a
+    2^n x 2^n matrix."""
+    if kind == 0:
+        return kron_at(rx_matrix(theta), qa, n)
+    if kind == 1:
+        return kron_at(rz_matrix(theta), qa, n)
+    return cnot_matrix(qa, qb, n)
+
+
+def gate_rows(circuit):
+    """The gates of `circuit` as (kind, qa, qb, theta) rows in temporal order."""
+    return list(zip(circuit.kinds, circuit.qa, circuit.qb, circuit.theta))
+
+
+def circuit_of(n, rows):
+    """An n-qubit circuit of (kind, qa, qb, theta) rows, built through the
+    `Circuit` builder methods."""
+    circ = Circuit(n)
+    for kind, a, b, theta in rows:
+        if kind == 2:
+            circ.cnot(a, b)
+        else:
+            (circ.rx if kind == 0 else circ.rz)(a, theta)
+    return circ
+
+
+def negated_angles(circ):
+    """`circ` with every rotation angle negated."""
+    return circuit_of(circ.n_qubits, [(k, a, b, -t) for k, a, b, t in gate_rows(circ)])
 
 
 def naive_circuit_unitary(circuit):
     """Multiply embedded gate matrices in application order (last gate leftmost)."""
     dim = 2**circuit.n_qubits
     u = np.eye(dim, dtype=complex)
-    for g in circuit.gates:
-        u = gate_full_matrix(g, circuit.n_qubits) @ u
+    for row in gate_rows(circuit):
+        u = gate_full_matrix(*row, circuit.n_qubits) @ u
     return u
 
 

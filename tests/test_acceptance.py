@@ -22,7 +22,7 @@ from trotterbench import (
 )
 from trotterbench.exact import build_hamiltonian
 
-from oracles import naive_circuit_unitary, naive_hamiltonian
+from oracles import naive_circuit_unitary, naive_hamiltonian, negated_angles
 
 SCALING_DTS = [0.0125, 0.025, 0.05, 0.1, 0.2]
 G_SWEEP = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
@@ -149,11 +149,7 @@ def test_criterion_8_oracle_cross_checks():
     # time reversal of the symmetric step (angle negation inverts it)
     params = TfimParams(n_spins=5, coupling=1.0, field=2.0, dt=0.2)
     fwd = symmetric_step(params)
-    from trotterbench.circuit import KIND_CNOT, Circuit, Gate
-
-    rev = Circuit(5)
-    for g in fwd.gates:
-        rev.append(g if g.kind == KIND_CNOT else Gate(g.kind, g.q0, theta=-g.theta))
+    rev = negated_angles(fwd)
     u = circuit_unitary(rev) @ circuit_unitary(fwd)
     rev_err = float(np.linalg.norm(u - np.eye(32), 2))
 

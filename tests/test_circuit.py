@@ -5,15 +5,11 @@ import pytest
 
 from trotterbench import (
     Circuit,
-    Gate,
     TfimParams,
     circuit_unitary,
-    cnot,
     execute,
     first_order_step,
     gate_counts,
-    rx,
-    rz,
     symmetric_step,
 )
 from trotterbench import kernels
@@ -28,57 +24,74 @@ def random_circuit(n_qubits, n_gates, seed):
     for _ in range(n_gates):
         kind = rng.integers(3)
         if kind == 0:
-            circ.append(rx(int(rng.integers(n_qubits)), float(rng.uniform(-3, 3))))
+            circ.rx(int(rng.integers(n_qubits)), float(rng.uniform(-3, 3)))
         elif kind == 1:
-            circ.append(rz(int(rng.integers(n_qubits)), float(rng.uniform(-3, 3))))
+            circ.rz(int(rng.integers(n_qubits)), float(rng.uniform(-3, 3)))
         else:
             a, b = rng.choice(n_qubits, size=2, replace=False)
-            circ.append(cnot(int(a), int(b)))
+            circ.cnot(int(a), int(b))
     return circ
 
 
 class TestConstruction:
     def test_append(self):
         circ = Circuit(5)
-        circ.append(rx(0, 0.4))
+        circ.rx(0, 0.4)
         assert len(circ) == 1
-        assert circ.append(rz(1, 0.1)) is circ
-        assert len(circ) == 2
+        assert circ.rz(1, 0.1) is circ
+        assert circ.cnot(0, 1) is circ
+        assert len(circ) == 3
 
     def test_cnot_control_equals_target(self):
         with pytest.raises(ValueError):
-            cnot(2, 2)
+            Circuit(5).cnot(2, 2)
 
     def test_qubit_out_of_range(self):
         with pytest.raises(ValueError):
-            Circuit(5).append(rx(7, 0.1))
+            Circuit(5).rx(7, 0.1)
 
     def test_negative_index(self):
         with pytest.raises(ValueError):
-            rx(-1, 0.1)
+            Circuit(5).rx(-1, 0.1)
 
     def test_nonfinite_angle(self):
         with pytest.raises(ValueError):
-            rz(0, float("nan"))
+            Circuit(5).rz(0, float("nan"))
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            Gate(9, 0)
+    @pytest.mark.parametrize("gate, args", [
+        ("rx", (5, 0.1)), ("rz", (-1, 0.1)), ("cnot", (0, 5)), ("cnot", (-1, 0)),
+        ("rx", (0, float("inf"))), ("rz", (0, float("-inf"))),
+    ])
+    def test_refused_gate_is_not_added(self, gate, args):
+        circ = Circuit(5)
+        with pytest.raises(ValueError, match="out of range|non-finite"):
+            getattr(circ, gate)(*args)
+        assert len(circ) == 0
+        assert (circ.kinds, circ.qa, circ.qb, circ.theta) == ([], [], [], [])
 
     def test_step_marks_strictly_increase(self):
         circ = Circuit(2)
-        circ.append(rx(0, 0.1)).mark_step()
+        circ.rx(0, 0.1).mark_step()
         with pytest.raises(ValueError):
             circ.mark_step()
 
     def test_extend_offsets_marks(self):
         a = Circuit(2)
-        a.append(rx(0, 0.1)).mark_step()
+        a.rx(0, 0.1).mark_step()
         b = Circuit(2)
-        b.append(rz(1, 0.2)).append(cnot(0, 1)).mark_step()
+        b.rz(1, 0.2).cnot(0, 1).mark_step()
         a.extend(b)
         assert a.step_marks == [1, 3]
         assert len(a) == 3
+
+    def test_extend_by_itself_doubles_gates_and_marks(self):
+        circ = Circuit(2).rx(0, 0.1).mark_step().cnot(1, 0)
+        assert circ.extend(circ) is circ
+        assert circ.kinds == [0, 2, 0, 2]
+        assert circ.qa == [0, 1, 0, 1]
+        assert circ.qb == [-1, 0, -1, 0]
+        assert circ.theta == [0.1, 0.0, 0.1, 0.0]
+        assert circ.step_marks == [1, 3]
 
 
 class TestCircuitUnitary:
@@ -87,7 +100,7 @@ class TestCircuitUnitary:
 
     def test_rx_pi_single_qubit(self):
         circ = Circuit(1)
-        circ.append(rx(0, np.pi))
+        circ.rx(0, np.pi)
         expected = -1j * np.array([[0, 1], [1, 0]])
         np.testing.assert_allclose(circuit_unitary(circ), expected, atol=1e-15)
 
@@ -95,7 +108,7 @@ class TestCircuitUnitary:
         # the CNOT-conjugated RZ must equal the two-qubit ZZ phase rotation
         theta = -0.4
         circ = Circuit(2)
-        circ.append(cnot(0, 1)).append(rz(1, theta)).append(cnot(0, 1))
+        circ.cnot(0, 1).rz(1, theta).cnot(0, 1)
         phases = []
         for b in range(4):
             parity = ((b & 1) ^ ((b >> 1) & 1))
@@ -103,11 +116,11 @@ class TestCircuitUnitary:
         np.testing.assert_allclose(circuit_unitary(circ), np.diag(phases), atol=1e-12)
 
     @pytest.mark.parametrize("gates, fused", [
-        ([cnot(0, 1), rz(1, 0.7), cnot(0, 1)], 1),
-        ([cnot(2, 0), rz(0, 0.7), cnot(2, 0)], 1),  # a wrap bond: control above target
-        ([cnot(0, 1), rz(0, 0.7), cnot(0, 1)], 0),  # RZ on the control
-        ([cnot(0, 1), rz(1, 0.7), cnot(1, 0)], 0),  # second CNOT reversed
-        ([cnot(0, 1), rz(1, 0.7), cnot(2, 1)], 0),  # second CNOT from another control
+        ([("cnot", 0, 1), ("rz", 1, 0.7), ("cnot", 0, 1)], 1),
+        ([("cnot", 2, 0), ("rz", 0, 0.7), ("cnot", 2, 0)], 1),  # a wrap bond: control above target
+        ([("cnot", 0, 1), ("rz", 0, 0.7), ("cnot", 0, 1)], 0),  # RZ on the control
+        ([("cnot", 0, 1), ("rz", 1, 0.7), ("cnot", 1, 0)], 0),  # second CNOT reversed
+        ([("cnot", 0, 1), ("rz", 1, 0.7), ("cnot", 2, 1)], 0),  # second CNOT from another control
     ])
     def test_only_cnot_rz_cnot_on_one_pair_is_fused(self, gates, fused, monkeypatch):
         # a broken pattern runs gate by gate; every case equals the dense product
@@ -116,9 +129,9 @@ class TestCircuitUnitary:
         monkeypatch.setattr(kernels, "_zz_phase", lambda *a: calls.append("phase") or phase(*a))
         monkeypatch.setattr(kernels, "_gate", lambda *a: calls.append("gate") or gate(*a))
         circ = Circuit(3)
-        circ.append(rx(0, 0.3)).append(rx(1, -1.1)).append(rx(2, 0.4))
-        for g in gates:
-            circ.append(g)
+        circ.rx(0, 0.3).rx(1, -1.1).rx(2, 0.4)
+        for name, *args in gates:
+            getattr(circ, name)(*args)
         np.testing.assert_allclose(
             circuit_unitary(circ), naive_circuit_unitary(circ), rtol=0, atol=1e-12
         )
@@ -150,11 +163,7 @@ class TestCircuitUnitary:
     def test_composition(self):
         c1 = random_circuit(3, 40, 5)
         c2 = random_circuit(3, 40, 6)
-        combined = Circuit(3)
-        for g in c1.gates:
-            combined.append(g)
-        for g in c2.gates:
-            combined.append(g)
+        combined = Circuit(3).extend(c1).extend(c2)
         np.testing.assert_allclose(
             circuit_unitary(combined),
             circuit_unitary(c2) @ circuit_unitary(c1),
@@ -188,9 +197,9 @@ class TestGateCounts:
 
     def test_trailing_gates_count_in_total_only_in_kind_order(self):
         circ = Circuit(3)
-        circ.append(cnot(0, 1)).append(rx(2, 0.1)).mark_step()
-        circ.append(rz(1, 0.2)).append(rz(0, 0.3)).mark_step()
-        circ.append(rx(0, 0.4))
+        circ.cnot(0, 1).rx(2, 0.1).mark_step()
+        circ.rz(1, 0.2).rz(0, 0.3).mark_step()
+        circ.rx(0, 0.4)
         counts = gate_counts(circ)
         assert list(counts) == ["total", "per_step", "n_gates"]
         assert list(counts["total"].items()) == [("RX", 2), ("RZ", 2), ("CNOT", 1)]
@@ -203,7 +212,7 @@ class TestGateCounts:
 class TestEncode:
     def test_fields_and_dtypes(self):
         circ = Circuit(3)
-        circ.append(rx(2, -0.7)).append(cnot(0, 1)).mark_step().append(rz(1, 1e-300)).mark_step()
+        circ.rx(2, -0.7).cnot(0, 1).mark_step().rz(1, 1e-300).mark_step()
         kinds, qa, qb, theta, marks = encode(circ)
         assert [a.dtype for a in (kinds, qa, qb, theta, marks)] == [
             np.int8, np.int64, np.int64, np.float64, np.int64]

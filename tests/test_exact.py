@@ -292,6 +292,14 @@ class TestExactSeries:
             assert abs(np.linalg.norm(psi) - 1.0) <= 1e-10
             assert abs(np.real(psi.conj() @ h @ psi) - e0) <= 1e-10
 
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_times_are_refused(self, bad, periodic):
+        # NaN fails every comparison, so the ascending check alone let it through
+        params = TfimParams(n_spins=4, periodic=periodic)
+        with pytest.raises(ValueError, match="times must be finite"):
+            exact_series([params], [0.0, bad])
+
     def test_times_must_start_at_zero(self):
         params = TfimParams(n_spins=2)
         with pytest.raises(ValueError):

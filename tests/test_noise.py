@@ -14,7 +14,7 @@ from trotterbench import (
     noisy_execute,
     run_command,
 )
-from trotterbench.circuit import Circuit, cnot, encode, rx, rz
+from trotterbench.circuit import KIND_CNOT, Circuit, encode
 from trotterbench.kernels import run_gates_noisy, run_gates_record
 from trotterbench import kernels
 from trotterbench import noise as noise_module
@@ -30,6 +30,7 @@ from oracles import (
     PAULIS,
     fault_codes_per_trajectory,
     gate_full_matrix,
+    gate_rows,
     kron_at,
     two_qubit_pauli,
 )
@@ -69,7 +70,7 @@ class TestNoisyExecute:
         # one CNOT on |00>, fault probability 1: the trajectory average must
         # converge on the uniform mean over the 15 non-identity Pauli branches
         circ = Circuit(2)
-        circ.append(cnot(0, 1)).mark_step()
+        circ.cnot(0, 1).mark_step()
         psi = np.zeros(4, dtype=complex)
         psi[0] = 1.0  # CNOT leaves |00> unchanged
         branch_sum = np.zeros(2)
@@ -95,7 +96,7 @@ class TestNoisyExecute:
     def test_partial_fault_probability_weighting(self):
         # p2 = 0.4 mixes the ideal branch with the fault average
         circ = Circuit(2)
-        circ.append(cnot(0, 1)).mark_step()
+        circ.cnot(0, 1).mark_step()
         p2 = 0.4
         expected = (1 - p2) * np.array([1.0, 1.0]) + p2 * np.array([-1 / 15, -1 / 15])
         avg = noisy_execute(circ, init_basis_state(2, [0, 0]),
@@ -106,7 +107,7 @@ class TestNoisyExecute:
         # identity RX on |0> with p1 = 1: X and Y branches give <sz> = -1,
         # the Z branch +1, so the uniform average is -1/3
         circ = Circuit(1)
-        circ.append(rx(0, 0.0)).mark_step()
+        circ.rx(0, 0.0).mark_step()
         avg = noisy_execute(circ, init_basis_state(1, [0]),
                             NoiseParams(p1=1.0), 60_000, 9)[0]
         assert abs(avg[0] - (-1 / 3)) <= 0.02
@@ -122,7 +123,8 @@ class TestNoisyExecute:
         noise = NoiseParams(p1=0.5, p2=0.5)
         trajectories, seed, n = TRAJECTORY_BLOCK + 3, 17, 3
         psi0 = all_down_state(n)
-        gates = [gate_full_matrix(g, n) for g in circ.gates]
+        rows = gate_rows(circ)
+        gates = [gate_full_matrix(*row, n) for row in rows]
         idx = np.arange(2**n)
         signs = np.stack([1.0 - 2.0 * ((idx >> j) & 1) for j in range(n)], axis=1)
         total = np.zeros((circ.n_steps(), n))
@@ -130,17 +132,17 @@ class TestNoisyExecute:
             rng = np.random.default_rng((seed, t))
             u = rng.random(len(circ))
             choice = rng.random(len(circ))
-            psi, rows = psi0, []
-            for i, (g, m) in enumerate(zip(circ.gates, gates)):
+            psi, zs = psi0, []
+            for i, ((kind, a, b, _), m) in enumerate(zip(rows, gates)):
                 psi = m @ psi
-                if g.name == "CNOT" and u[i] < noise.p2:
+                if kind == KIND_CNOT and u[i] < noise.p2:
                     f = int(choice[i] * 15.0) + 1
-                    psi = two_qubit_pauli(f >> 2, f & 3, g.q0, g.q1, n) @ psi
-                elif g.name != "CNOT" and u[i] < noise.p1:
-                    psi = kron_at(PAULIS[int(choice[i] * 3.0) + 1], g.q0, n) @ psi
+                    psi = two_qubit_pauli(f >> 2, f & 3, a, b, n) @ psi
+                elif kind != KIND_CNOT and u[i] < noise.p1:
+                    psi = kron_at(PAULIS[int(choice[i] * 3.0) + 1], a, n) @ psi
                 if i + 1 in circ.step_marks:
-                    rows.append(np.abs(psi) ** 2 @ signs)
-            total += np.array(rows)
+                    zs.append(np.abs(psi) ** 2 @ signs)
+            total += np.array(zs)
         got = noisy_execute(circ, all_down_state(n), noise, trajectories, seed)
         np.testing.assert_allclose(got, total / trajectories, rtol=0, atol=1e-12)
 
@@ -152,20 +154,20 @@ class TestNoisyExecute:
         n = 3
         circ = Circuit(n)
         for q, theta in enumerate((0.3, -1.1, 0.4)):
-            circ.append(rx(q, theta))
+            circ.rx(q, theta)
         for a, b, theta in ((0, 1, 0.7), (2, 0, -0.5)):  # (2, 0): a wrap bond
-            circ.append(cnot(a, b)).append(rz(b, theta)).append(cnot(a, b))
-        circ.append(rx(1, 0.9)).mark_step()
+            circ.cnot(a, b).rz(b, theta).cnot(a, b)
+        circ.rx(1, 0.9).mark_step()
         kinds, qa, qb, theta, marks = encode(circ)
         columns = [
             [code if j == i else 0 for j in range(len(circ))]
-            for i, g in enumerate(circ.gates)
-            for code in (range(1, 16) if g.name == "CNOT" else (4, 8, 12))
+            for i, kind in enumerate(circ.kinds)
+            for code in (range(1, 16) if kind == KIND_CNOT else (4, 8, 12))
         ]
         rng = np.random.default_rng(3)
         for _ in range(40):
-            columns.append([int(rng.integers(1, 16)) if g.name == "CNOT"
-                            else 4 * int(rng.integers(0, 4)) for g in circ.gates])
+            columns.append([int(rng.integers(1, 16)) if kind == KIND_CNOT
+                            else 4 * int(rng.integers(0, 4)) for kind in circ.kinds])
         faults = np.array(columns, dtype=np.int8).T
         psi0 = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
         psi0 /= np.linalg.norm(psi0)
@@ -174,17 +176,17 @@ class TestNoisyExecute:
         run_gates_noisy(amps, n, kinds, qa, qb, theta, marks, faults, out)
         for col, codes in enumerate(columns):
             psi = psi0
-            for g, code in zip(circ.gates, codes):
-                psi = gate_full_matrix(g, n) @ psi
-                if g.name == "CNOT":
-                    psi = two_qubit_pauli(code >> 2, code & 3, g.q0, g.q1, n) @ psi
+            for (kind, a, b, t), code in zip(gate_rows(circ), codes):
+                psi = gate_full_matrix(kind, a, b, t, n) @ psi
+                if kind == KIND_CNOT:
+                    psi = two_qubit_pauli(code >> 2, code & 3, a, b, n) @ psi
                 else:
-                    psi = kron_at(PAULIS[code >> 2], g.q0, n) @ psi
+                    psi = kron_at(PAULIS[code >> 2], a, n) @ psi
             np.testing.assert_allclose(amps[:, col], psi, rtol=0, atol=1e-13)
 
     def test_invalid_trajectories(self):
         circ = Circuit(2)
-        circ.append(cnot(0, 1)).mark_step()
+        circ.cnot(0, 1).mark_step()
         with pytest.raises(ValueError):
             noisy_execute(circ, all_down_state(2), NoiseParams(), 0, 1)
 
@@ -195,7 +197,7 @@ class TestNoisyExecute:
     ])
     def test_invalid_initial_state(self, initial, message):
         circ = Circuit(2)
-        circ.append(cnot(0, 1)).mark_step()
+        circ.cnot(0, 1).mark_step()
         for noise in (NoiseParams(), DEVICE_LIKE):
             with pytest.raises(ValueError, match=message):
                 noisy_execute(circ, initial, noise, 4, 1)
@@ -281,7 +283,7 @@ class TestFaultStreams:
 
         monkeypatch.setattr(noise_module, "_fault_codes", draw)
         circ = Circuit(2)
-        circ.append(cnot(0, 1)).mark_step()
+        circ.cnot(0, 1).mark_step()
         with pytest.raises(ValueError, match=r"2\*\*32"):
             noisy_execute(circ, all_down_state(2), DEVICE_LIKE, 2**32 + 1, 3)
 

@@ -108,6 +108,12 @@ class TestMagnetizationSeries:
         with pytest.raises(ValueError):
             MagnetizationSeries(np.array([0.0]), np.array([[1.5, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5])
+    def test_rejects_a_value_that_is_not_a_magnetization(self, bad):
+        # NaN fails every comparison, so a bound written as `> 1` lets it through
+        with pytest.raises(ValueError, match="local magnetization"):
+            MagnetizationSeries(np.array([0.0, 0.2]), np.array([[1.0, 0.0], [bad, 0.1]]))
+
     def test_tail_drops_initial_row(self):
         series = MagnetizationSeries(np.array([0.0, 0.2, 0.4]),
                                      np.array([[0.0, 0.0], [0.1, 0.2], [0.3, 0.4]]))
@@ -182,3 +188,15 @@ class TestScalingFit:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             scaling_fit([0.1, 0.2, 0.3], [0.0, 0.04, 0.09])
+
+    @pytest.mark.parametrize("dts, errs, name", [
+        ([0.1, 0.2, 0.3], [0.01, np.nan, 0.09], "errs"),
+        ([0.1, 0.2, 0.3], [0.01, np.inf, 0.09], "errs"),
+        ([0.1, np.nan, 0.3], [0.01, 0.04, 0.09], "dts"),
+        ([0.1, np.inf, 0.3], [0.01, 0.04, 0.09], "dts"),
+    ])
+    def test_non_finite_is_refused_by_name(self, dts, errs, name, capfd):
+        # a NaN or inf dt used to reach LAPACK, which printed to stderr
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            scaling_fit(dts, errs)
+        assert capfd.readouterr() == ("", "")

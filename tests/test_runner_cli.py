@@ -1,5 +1,6 @@
 """Run orchestration, file output determinism, and the CLI contract."""
 
+import ast
 import dataclasses
 import errno
 import json
@@ -527,6 +528,15 @@ class TestCli:
         code = main(["sweep"])
         assert code == 2
 
+    @pytest.mark.parametrize("command, key", [
+        ("sweep", "g_list"), ("compare", "g_list"), ("scaling", "dt_list"),
+    ])
+    def test_empty_config_list_is_refused_by_name(self, command, key, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: []}))
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert f"{key} must be a string or a nonempty list" in capsys.readouterr().err
+
     def test_argparse_rejects_bad_choice(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--order", "third"])
@@ -624,15 +634,37 @@ def test_active_backend_is_the_numpy_engine():
     assert active_backend() == "numpy"
 
 
-def test_cli_setup_leaves_numpy_random_unimported():
-    # numpy.random takes about 10 ms to import; shots and noisy runs import
-    # it on their first draw, so a CLI process that only parses never does
+def test_cli_setup_imports_only_stdlib_numpy_and_the_package():
+    # every module a CLI process imports before its command runs adds to
+    # setup_s; numpy.random (15-21 ms, 6 MB of RSS) waits for the first
+    # shots or noisy draw, and scipy, though installed, is never imported
     src = Path(trotterbench.__file__).resolve().parents[1]
-    code = ("import sys, trotterbench.cli\n"
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import trotterbench.cli\n"
             "trotterbench.cli.build_parser()\n"
-            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n")
+            "print(*sorted(set(sys.modules) - before))\n")
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    added = proc.stdout.split()
+    assert "trotterbench.cli" in added and "numpy" in added
+    roots = {name.partition(".")[0] for name in added}
+    assert roots - sys.stdlib_module_names == {"numpy", "trotterbench"}
+    assert [name for name in added if name.startswith("numpy.random")] == []
+
+
+def test_all_lists_exactly_the_public_names_init_binds():
+    tree = ast.parse(Path(trotterbench.__file__).read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            bound |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Assign):
+            bound |= {target.id for target in node.targets}
+    public = {name for name in bound - {"__all__"}
+              if not name.startswith("_") or name.startswith("__")}
+    assert sorted(trotterbench.__all__) == sorted(public)
+    for name in trotterbench.__all__:
+        assert getattr(trotterbench, name) is not None, name

@@ -10,12 +10,9 @@ from trotterbench import (
     all_down_state,
     build_evolution_circuit,
     circuit_unitary,
-    cnot,
     execute,
     init_basis_state,
     local_magnetization_from_counts,
-    rx,
-    rz,
     sample_bitstrings,
 )
 from trotterbench import kernels
@@ -26,9 +23,10 @@ from trotterbench.statevector import z_expectations
 from trotterbench.trotter import TrotterOrder
 
 
-def apply_one(state, gate):
-    """Run `gate` on `state` as a one-gate circuit."""
-    return execute(Circuit(state.shape[0].bit_length() - 1).append(gate), state)
+def apply_one(state, gate, *args):
+    """Run one gate, named by its `Circuit` builder, on `state`."""
+    circ = Circuit(state.shape[0].bit_length() - 1)
+    return execute(getattr(circ, gate)(*args), state)
 
 
 def normalized(raw):
@@ -69,24 +67,24 @@ class TestInitBasisState:
 class TestApplyGate:
     def test_rx_pi_is_minus_i_x(self):
         state = init_basis_state(1, [0])
-        apply_one(state, rx(0, math.pi))
+        apply_one(state, "rx", 0, math.pi)
         np.testing.assert_allclose(state, [0.0, -1j], atol=1e-15)
 
     def test_rz_phase_on_zero(self):
         theta = 0.713
         state = init_basis_state(1, [0])
-        apply_one(state, rz(0, theta))
+        apply_one(state, "rz", 0, theta)
         np.testing.assert_allclose(state, [np.exp(-0.5j * theta), 0.0], atol=1e-15)
 
     def test_cnot_truth_table(self):
         state = init_basis_state(2, [1, 0])
-        apply_one(state, cnot(0, 1))
+        apply_one(state, "cnot", 0, 1)
         expected = init_basis_state(2, [1, 1])
         np.testing.assert_allclose(state, expected, atol=1e-15)
 
     def test_cnot_control_zero_does_nothing(self):
         state = init_basis_state(2, [0, 1])
-        apply_one(state, cnot(0, 1))
+        apply_one(state, "cnot", 0, 1)
         expected = init_basis_state(2, [0, 1])
         np.testing.assert_allclose(state, expected, atol=1e-15)
 
@@ -96,12 +94,12 @@ class TestApplyGate:
         raw = np.zeros(8, dtype=complex)
         raw[2] = 1.0
         with pytest.raises(ValueError, match="C-contiguous"):
-            apply_one(raw[::2], cnot(0, 1))  # |q0=1, q1=0>
+            apply_one(raw[::2], "cnot", 0, 1)  # |q0=1, q1=0>
         assert raw[2] == 1.0 and raw[6] == 0.0
 
     def test_execute_runs_in_place_and_returns_its_input(self):
         state = init_basis_state(2, [1, 0])
-        assert apply_one(state, cnot(0, 1)) is state
+        assert apply_one(state, "cnot", 0, 1) is state
         np.testing.assert_array_equal(state, [0, 0, 0, 1])
 
     @pytest.mark.parametrize("amps", [
@@ -111,12 +109,12 @@ class TestApplyGate:
     ])
     def test_amplitudes_other_than_complex128_are_refused(self, amps):
         with pytest.raises(ValueError, match="complex128"):
-            execute(Circuit(2).append(cnot(0, 1)), amps)
+            execute(Circuit(2).cnot(0, 1), amps)
 
     @pytest.mark.parametrize("shape", [(8,), (2,), (4, 2, 2), (3,), ()])
     def test_amplitudes_of_another_width_are_refused(self, shape):
         with pytest.raises(ValueError, match="amplitudes"):
-            execute(Circuit(2).append(cnot(0, 1)), np.zeros(shape, dtype=np.complex128))
+            execute(Circuit(2).cnot(0, 1), np.zeros(shape, dtype=np.complex128))
 
     def test_block_runs_every_column(self):
         circ = build_evolution_circuit(TfimParams(n_spins=3), 2, TrotterOrder.SYMMETRIC)
@@ -131,14 +129,14 @@ class TestApplyGate:
     def test_out_of_range_qubit(self):
         state = init_basis_state(2, [0, 0])
         with pytest.raises(ValueError):
-            apply_one(state, rx(2, 0.1))
+            apply_one(state, "rx", 2, 0.1)
 
     def test_norm_preserved_per_gate(self):
         rng = np.random.default_rng(3)
         raw = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         state = normalized(raw)
-        for gate in (rx(0, 0.3), rz(1, -1.2), cnot(2, 0)):
-            apply_one(state, gate)
+        for gate in (("rx", 0, 0.3), ("rz", 1, -1.2), ("cnot", 2, 0)):
+            apply_one(state, *gate)
             assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
 
@@ -152,20 +150,19 @@ class TestNormAndUnitarity:
         for _ in range(10_000):
             kind = rng.integers(3)
             if kind == 0:
-                circ.append(rx(int(rng.integers(n)), float(rng.uniform(-3, 3))))
+                circ.rx(int(rng.integers(n)), float(rng.uniform(-3, 3)))
             elif kind == 1:
-                circ.append(rz(int(rng.integers(n)), float(rng.uniform(-3, 3))))
+                circ.rz(int(rng.integers(n)), float(rng.uniform(-3, 3)))
             else:
                 a, b = rng.choice(n, size=2, replace=False)
-                circ.append(cnot(int(a), int(b)))
+                circ.cnot(int(a), int(b))
         execute(circ, state)
         assert abs(np.linalg.norm(state) - 1.0) <= 1e-9
 
-    @pytest.mark.parametrize("gate", [rx(0, 0.37), rz(0, -2.2), cnot(0, 1)])
+    @pytest.mark.parametrize("gate", [("rx", 0, 0.37), ("rz", 0, -2.2), ("cnot", 0, 1)])
     def test_gate_unitarity(self, gate):
-        circ = Circuit(2)
-        circ.append(gate)
-        u = circuit_unitary(circ)
+        name, *args = gate
+        u = circuit_unitary(getattr(Circuit(2), name)(*args))
         np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
 
 

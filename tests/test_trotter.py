@@ -12,22 +12,12 @@ from trotterbench import (
     gate_counts,
     symmetric_step,
 )
-from trotterbench.circuit import KIND_CNOT, KIND_RX, KIND_RZ, Circuit
+from trotterbench.circuit import KIND_CNOT, KIND_RX, KIND_RZ
 from trotterbench.trotter import even_bonds, odd_bonds
 
-from oracles import expm_hermitian, naive_hamiltonian
+from oracles import circuit_of, expm_hermitian, gate_rows, naive_hamiltonian, negated_angles
 
 DTS = [0.0125, 0.025, 0.05, 0.1, 0.2]
-
-
-def negated_angles(circ):
-    flipped = Circuit(circ.n_qubits)
-    for g in circ.gates:
-        if g.kind == KIND_CNOT:
-            flipped.append(g)
-        else:
-            flipped.append(type(g)(g.kind, g.q0, theta=-g.theta))
-    return flipped
 
 
 def step_error(n, field, dt, order):
@@ -81,15 +71,14 @@ class TestFirstOrderStep:
         circ = first_order_step(params)
         assert len(circ) == 17
         assert circ.step_marks == [17]
-        rx_angles = [g.theta for g in circ.gates if g.kind == KIND_RX]
-        rz_angles = [g.theta for g in circ.gates if g.kind == KIND_RZ]
+        rx_angles = [t for k, t in zip(circ.kinds, circ.theta) if k == KIND_RX]
+        rz_angles = [t for k, t in zip(circ.kinds, circ.theta) if k == KIND_RZ]
         assert rx_angles == pytest.approx([-0.4] * 5)
         assert rz_angles == pytest.approx([-0.4] * 4)
 
     def test_n2_structure(self):
         circ = first_order_step(TfimParams(n_spins=2))
-        kinds = [g.kind for g in circ.gates]
-        assert kinds == [KIND_RX, KIND_RX, KIND_CNOT, KIND_RZ, KIND_CNOT]
+        assert circ.kinds == [KIND_RX, KIND_RX, KIND_CNOT, KIND_RZ, KIND_CNOT]
 
     def test_zero_field_step_is_diagonal(self):
         params = TfimParams(n_spins=3, field=0.0, dt=0.7)
@@ -99,9 +88,9 @@ class TestFirstOrderStep:
 
     def test_layer_order_x_then_odd_then_even(self):
         circ = first_order_step(TfimParams(n_spins=5))
-        assert [g.kind for g in circ.gates[:5]] == [KIND_RX] * 5
-        first_cnots = [g for g in circ.gates[5:11] if g.kind == KIND_CNOT]
-        assert {(g.q0, g.q1) for g in first_cnots} == {(0, 1), (2, 3)}
+        assert circ.kinds[:5] == [KIND_RX] * 5
+        first_cnots = [(a, b) for k, a, b, _ in gate_rows(circ)[5:11] if k == KIND_CNOT]
+        assert set(first_cnots) == {(0, 1), (2, 3)}
 
 
 class TestSymmetricStep:
@@ -109,9 +98,9 @@ class TestSymmetricStep:
         params = TfimParams(n_spins=5, coupling=1.0, field=1.0, dt=0.2)
         circ = symmetric_step(params)
         assert len(circ) == 28
-        rx_angles = [g.theta for g in circ.gates if g.kind == KIND_RX]
+        rx_angles = [t for k, t in zip(circ.kinds, circ.theta) if k == KIND_RX]
         assert rx_angles == pytest.approx([-0.2] * 10)
-        rz_angles = sorted(g.theta for g in circ.gates if g.kind == KIND_RZ)
+        rz_angles = sorted(t for k, t in zip(circ.kinds, circ.theta) if k == KIND_RZ)
         # four half-step odd-bond rotations around two full-step even-bond ones
         assert rz_angles == pytest.approx([-0.4, -0.4, -0.2, -0.2, -0.2, -0.2])
 
@@ -119,15 +108,13 @@ class TestSymmetricStep:
         # single-bond middle layer: the gate list is its own mirror
         for n in (2, 3, 4):
             circ = symmetric_step(TfimParams(n_spins=n))
-            seq = [(g.kind, g.q0, g.q1, g.theta) for g in circ.gates]
+            seq = gate_rows(circ)
             assert seq == seq[::-1]
 
     def test_kind_and_angle_palindrome_n5(self):
         circ = symmetric_step(TfimParams(n_spins=5))
-        kinds = [g.kind for g in circ.gates]
-        angles = [g.theta for g in circ.gates]
-        assert kinds == kinds[::-1]
-        assert angles == angles[::-1]
+        assert circ.kinds == circ.kinds[::-1]
+        assert circ.theta == circ.theta[::-1]
 
     def test_time_reversal_composes_to_identity(self):
         # palindromic formulas invert under angle negation
@@ -148,7 +135,7 @@ class TestBuildEvolution:
         params = TfimParams(n_spins=5)
         built = build_evolution_circuit(params, 1, TrotterOrder.FIRST)
         step = first_order_step(params)
-        assert [g for g in built.gates] == [g for g in step.gates]
+        assert gate_rows(built) == gate_rows(step)
         assert built.step_marks == step.step_marks
 
     def test_twenty_first_order_steps(self):
@@ -216,21 +203,10 @@ class TestLayerCommutation:
         u0 = circuit_unitary(base)
 
         # reverse the X layer
-        shuffled = Circuit(5)
-        for g in reversed(base.gates[:5]):
-            shuffled.append(g)
-        for g in base.gates[5:]:
-            shuffled.append(g)
+        rows = gate_rows(base)
+        shuffled = circuit_of(5, rows[4::-1] + rows[5:])
         np.testing.assert_allclose(circuit_unitary(shuffled), u0, atol=1e-12)
 
         # swap the two odd-bond ZZ blocks (three gates each)
-        swapped = Circuit(5)
-        for g in base.gates[:5]:
-            swapped.append(g)
-        for g in base.gates[8:11]:
-            swapped.append(g)
-        for g in base.gates[5:8]:
-            swapped.append(g)
-        for g in base.gates[11:]:
-            swapped.append(g)
+        swapped = circuit_of(5, rows[:5] + rows[8:11] + rows[5:8] + rows[11:])
         np.testing.assert_allclose(circuit_unitary(swapped), u0, atol=1e-12)
