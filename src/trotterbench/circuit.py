@@ -12,6 +12,7 @@ product.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -29,6 +30,15 @@ _KIND_NAMES = {KIND_RX: "RX", KIND_RZ: "RZ", KIND_CNOT: "CNOT"}
 MAX_DENSE_SPINS = 12
 
 
+def check_integer(name: str, value) -> None:
+    """Refuse a `value` that is a bool or not a `numbers.Integral`, naming
+    it: the one rule for every count, width, qubit and seed."""
+    if type(value) is int:  # the common case, without the slow ABC check
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class Circuit:
     """Gates over `n_qubits` qubits, as parallel lists, with Trotter-step end marks.
 
@@ -38,6 +48,7 @@ class Circuit:
     """
 
     def __init__(self, n_qubits: int):
+        check_integer("n_qubits", n_qubits)
         if n_qubits < 1:
             raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
         self.n_qubits = n_qubits
@@ -50,7 +61,8 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.kinds)
 
-    def _qubit(self, q: int) -> int:
+    def _qubit(self, q: int, name: str = "qubit") -> int:
+        check_integer(name, q)
         if not 0 <= q < self.n_qubits:
             raise ValueError(f"qubit {q} out of range for {self.n_qubits}-qubit circuit")
         return q
@@ -77,9 +89,10 @@ class Circuit:
 
     def cnot(self, control: int, target: int) -> "Circuit":
         """Append CNOT with the given control and target."""
-        if control == target:
+        a, b = self._qubit(control, "control"), self._qubit(target, "target")
+        if a == b:
             raise ValueError("CNOT control and target must differ")
-        return self._add(KIND_CNOT, self._qubit(control), self._qubit(target), 0.0)
+        return self._add(KIND_CNOT, a, b, 0.0)
 
     def mark_step(self) -> "Circuit":
         """Record the end of a Trotter step at the current gate count."""

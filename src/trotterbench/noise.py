@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .circuit import KIND_CNOT, Circuit, encode
+from .circuit import KIND_CNOT, Circuit, check_integer, encode
 from .statevector import check_state
 
 
@@ -84,8 +84,12 @@ def noisy_execute(
     block of 256 at every n, and at n = 10 so do blocks of 2 and 44.
     Trajectories run in blocks of TRAJECTORY_BLOCK and are summed in order.
     """
+    check_integer("trajectories", trajectories)
     if not 1 <= trajectories <= MAX_TRAJECTORIES:
         raise ValueError(f"trajectories must be in [1, 2**32], got {trajectories}")
+    check_integer("rng_seed", rng_seed)
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed must be >= 0, got {rng_seed}")
     check_state(initial, circuit.n_qubits, block=False)
     kinds, qa, qb, theta, marks = encode(circuit)
     n = circuit.n_qubits

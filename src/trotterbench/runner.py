@@ -247,8 +247,9 @@ def _simulate_local(configs: list[RunConfig], circuits: list[Circuit]) -> np.nda
 def _run_block(configs: list[RunConfig],
                exact: list[MagnetizationSeries] | None = None) -> list[RunResult]:
     """Runs of configs that differ only in g, simulated as one block against
-    the exact reference; every result's wall_time is the block's. `exact`
-    passes the series of these g when the caller already has them."""
+    the exact reference; every result's wall_time and gate counts (one
+    shared tally) are the block's. `exact` passes the series of these g
+    when the caller already has them."""
     start = time.perf_counter()
     base = configs[0]
     times = base.dt * np.arange(base.steps + 1)
@@ -256,12 +257,13 @@ def _run_block(configs: list[RunConfig],
     local = _simulate_local(configs, circuits)
     if exact is None:
         exact = exact_series([c.tfim for c in configs], times)
+    counts = gate_counts(circuits[0])  # every g runs one gate list
     results = []
-    for config, circuit, run, reference in zip(configs, circuits, local, exact):
+    for config, run, reference in zip(configs, local, exact):
         sim = MagnetizationSeries(times, run)
         results.append(RunResult(config=config, sim=sim, exact=reference,
                                  errors=error_series(sim.tail(1), reference.tail(1)),
-                                 counts=gate_counts(circuit)))
+                                 counts=counts))
     wall_time = time.perf_counter() - start
     for result in results:
         result.wall_time = wall_time
@@ -376,16 +378,6 @@ def _ratio(num: float, den: float):
     return num / den
 
 
-def _round12(x):
-    if isinstance(x, float):
-        return float(fmt(x))
-    if isinstance(x, dict):
-        return {k: _round12(v) for k, v in x.items()}
-    if isinstance(x, list):
-        return [_round12(v) for v in x]
-    return x
-
-
 def sweep_table(g_values, results: list[RunResult]) -> tuple[list[str], list[list]]:
     """(header, rows) of sweep.csv: the RMSEs per g."""
     return ["g", "rmse_local", "rmse_total"], [
@@ -421,29 +413,24 @@ def write_run(result: RunResult, out_dir: Path) -> None:
     except for the wall_time field."""
     out_dir = Path(out_dir)
     sim, exact = result.sim, result.exact
-    rows = []
-    for k, t in enumerate(sim.times):
-        for j in range(sim.n_sites):
-            rows.append(
-                [t, j, sim.local[k, j], exact.local[k, j], sim.local[k, j] - exact.local[k, j]]
-            )
-    _write_csv(out_dir / "series.csv", ["t", "site", "m_sim", "m_exact", "dm"], rows)
-    _write_csv(
-        out_dir / "totals.csv",
-        ["t", "m_total_sim", "m_total_exact", "dm_total"],
-        [
-            [t, sim.total[k], exact.total[k], sim.total[k] - exact.total[k]]
-            for k, t in enumerate(sim.times)
-        ],
-    )
+    n_times, n_sites = sim.local.shape
+    m_sim, m_exact = sim.local.ravel(), exact.local.ravel()
+    series = [np.repeat(sim.times, n_sites), np.tile(np.arange(n_sites), n_times),
+              m_sim, m_exact, m_sim - m_exact]
+    _write_csv(out_dir / "series.csv", ["t", "site", "m_sim", "m_exact", "dm"],
+               zip(*[column.tolist() for column in series]))
+    totals = [sim.times, sim.total, exact.total, sim.total - exact.total]
+    _write_csv(out_dir / "totals.csv", ["t", "m_total_sim", "m_total_exact", "dm_total"],
+               zip(*[column.tolist() for column in totals]))
     meta = {
         "tool": "trotterbench",
         "version": __version__,
-        "config": _round12(result.config.to_dict()),
+        "config": {k: float(fmt(v)) if isinstance(v, float) else v
+                   for k, v in result.config.to_dict().items()},
         "gate_counts": result.counts,
         "rmse": {
-            "local": _round12(result.errors.rmse_local),
-            "total": _round12(result.errors.rmse_total),
+            "local": float(fmt(result.errors.rmse_local)),
+            "total": float(fmt(result.errors.rmse_total)),
         },
         "wall_time": result.wall_time,
     }

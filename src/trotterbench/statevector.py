@@ -15,7 +15,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import kernels
-from .circuit import Circuit, encode
+from .circuit import Circuit, check_integer, encode
 
 
 def check_state(amps: np.ndarray, n_qubits: int, block: bool = True) -> None:
@@ -74,6 +74,7 @@ def sample_bitstrings(amps: np.ndarray, shots: int, rng_seed) -> np.ndarray:
     or (B, 2^n), indexed by basis index: bit j of the index is the outcome
     of qubit j.
     """
+    check_integer("shots", shots)
     if shots <= 0:
         raise ValueError(f"shots must be >= 1, got {shots}")
     # one contiguous row of probabilities per state, as a single state has

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 
-from .circuit import Circuit
+from .circuit import Circuit, check_integer
 
 
 class TrotterOrder(str, enum.Enum):
@@ -35,8 +34,7 @@ class TfimParams:
     periodic: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.n_spins, numbers.Integral):
-            raise ValueError(f"n_spins must be an integer, got {self.n_spins!r}")
+        check_integer("n_spins", self.n_spins)
         if not isinstance(self.periodic, bool):
             raise ValueError(f"periodic must be True or False, got {self.periodic!r}")
         if self.n_spins < 2:
@@ -124,6 +122,7 @@ def symmetric_step(params: TfimParams) -> Circuit:
 def build_evolution_circuit(params: TfimParams, n_steps: int, order: TrotterOrder) -> Circuit:
     """Repeat the chosen step `n_steps` times; no cross-step layer fusion,
     so the state at every step mark is exactly the per-step measured state."""
+    check_integer("n_steps", n_steps)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if order == TrotterOrder.FIRST:

@@ -190,3 +190,19 @@ def fault_codes_per_trajectory(kinds, p1, p2, rng_seed, block):
         code = ((choice * n_paulis).astype(np.int8) + 1) << shift
         codes[:, col] = np.where(u < prob, code, 0)
     return codes
+
+
+def per_cell_run_rows(result):
+    """(series rows, totals rows) of a run's CSVs, built one cell at a time
+    from numpy scalars, each dm a scalar difference: the reference for
+    `runner.write_run`, which builds whole columns from the arrays."""
+    sim, exact = result.sim, result.exact
+    series = []
+    for k, t in enumerate(sim.times):
+        for j in range(sim.n_sites):
+            series.append(
+                [t, j, sim.local[k, j], exact.local[k, j], sim.local[k, j] - exact.local[k, j]]
+            )
+    totals = [[t, sim.total[k], exact.total[k], sim.total[k] - exact.total[k]]
+              for k, t in enumerate(sim.times)]
+    return series, totals

@@ -83,6 +83,21 @@ def test_sweep_results_are_the_one_config_runs(mode, periodic):
         assert result.counts == single.counts
 
 
+@pytest.mark.parametrize("mode", ["ideal", "shots", "noisy"])
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("order", ["first", "sym2"])
+def test_every_result_of_a_block_reports_its_single_runs_counts(mode, periodic, order):
+    # a block tallies its one gate list once and hands it to every result
+    extra = {"shots": {"shots": 16, "seed": 3},
+             "noisy": {"traj": 4, "p2": 0.05, "seed": 3}}.get(mode, {})
+    base = RunConfig().replace(n=4, steps=3, mode=mode, periodic=periodic, order=order,
+                               **extra)
+    single = runner.run_command(base.replace(g=0.5)).counts
+    assert single["n_gates"] > 0 and len(single["per_step"]) == 3
+    for result in sweep_command(base, G_LISTS[0]):
+        assert result.counts == single, result.config.g
+
+
 def test_block_refuses_other_angles_than_rx_per_column():
     # a J (or dt) per column would need one ZZ phase per column
     circuits = [build_evolution_circuit(TfimParams(n_spins=3, coupling=j), 2, "first")
@@ -120,7 +135,8 @@ class TestOneBlockPerList:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"run_gates": 0, "run_gates_record": 0, "sample_bitstrings": 0, "z_series": 0}
+        counts = {"run_gates": 0, "run_gates_record": 0, "sample_bitstrings": 0, "z_series": 0,
+                  "gate_counts": 0}
 
         def counting(module, name):
             original = getattr(module, name)
@@ -131,7 +147,7 @@ class TestOneBlockPerList:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("run_gates", "run_gates_record", "sample_bitstrings"):
+        for name in ("run_gates", "run_gates_record", "sample_bitstrings", "gate_counts"):
             counting(runner, name)
         counting(fermion, "z_series")
         return counts
@@ -140,11 +156,11 @@ class TestOneBlockPerList:
         compare_command(RunConfig(), [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         # both orders compare with the same exact series
         assert calls == {"run_gates": 0, "run_gates_record": 2, "sample_bitstrings": 0,
-                         "z_series": 1}
+                         "z_series": 1, "gate_counts": 2}
 
     @pytest.mark.parametrize("g_count", [1, 6])
     def test_shots_sweep_runs_each_step_once_whatever_the_g_count(self, calls, g_count):
         base = RunConfig().replace(mode="shots", shots=64, steps=7)
         sweep_command(base, [1.0 + g for g in range(g_count)])
         assert calls == {"run_gates": 7, "run_gates_record": 0, "sample_bitstrings": 8,
-                         "z_series": 1}
+                         "z_series": 1, "gate_counts": 1}

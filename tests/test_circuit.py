@@ -69,6 +69,26 @@ class TestConstruction:
         assert len(circ) == 0
         assert (circ.kinds, circ.qa, circ.qb, circ.theta) == ([], [], [], [])
 
+    @pytest.mark.parametrize("width", [2.5, 3.0, True, "3"])
+    def test_width_that_is_not_an_integer_is_refused(self, width):
+        with pytest.raises(ValueError, match=f"^n_qubits must be an integer, got {width!r}$"):
+            Circuit(width)
+
+    @pytest.mark.parametrize("gate, args, name", [
+        ("rx", (0.5, 0.1), "qubit"), ("rz", (1.0, 0.1), "qubit"), ("rx", (True, 0.1), "qubit"),
+        ("cnot", (0.5, 1), "control"), ("cnot", (0, 2.0), "target"),
+        ("cnot", (True, 1), "control"), ("cnot", (0, False), "target"),
+    ])
+    def test_qubit_that_is_not_an_integer_is_refused_and_not_added(self, gate, args, name):
+        circ = Circuit(3)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            getattr(circ, gate)(*args)
+        assert (circ.kinds, circ.qa, circ.qb, circ.theta) == ([], [], [], [])
+
+    def test_numpy_integers_are_integers(self):
+        circ = Circuit(np.int64(3)).rx(np.int64(2), 0.1).cnot(np.int32(0), np.uint8(1))
+        assert circ.qa == [2, 0] and circ.qb == [-1, 1]
+
     def test_step_marks_strictly_increase(self):
         circ = Circuit(2)
         circ.rx(0, 0.1).mark_step()

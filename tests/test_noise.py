@@ -190,6 +190,28 @@ class TestNoisyExecute:
         with pytest.raises(ValueError):
             noisy_execute(circ, all_down_state(2), NoiseParams(), 0, 1)
 
+    @pytest.mark.parametrize("noise", [NoiseParams(), DEVICE_LIKE])
+    @pytest.mark.parametrize("key, value", [
+        ("trajectories", 2.5), ("trajectories", 2.0), ("trajectories", True),
+        ("rng_seed", 1.5), ("rng_seed", True),
+    ])
+    def test_counts_that_are_not_an_integer_are_refused_by_name(self, noise, key, value):
+        # a float raised a TypeError from range() or operator.index, and
+        # the zero-noise path took any rng_seed
+        circ = Circuit(2)
+        circ.cnot(0, 1).mark_step()
+        args = {"trajectories": 4, "rng_seed": 1, key: value}
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, got {value!r}$"):
+            noisy_execute(circ, all_down_state(2), noise, **args)
+
+    @pytest.mark.parametrize("noise", [NoiseParams(), DEVICE_LIKE])
+    def test_negative_seed_is_refused_whatever_the_noise(self, noise):
+        # the zero-noise path draws nothing, and took a negative rng_seed
+        circ = Circuit(2)
+        circ.cnot(0, 1).mark_step()
+        with pytest.raises(ValueError, match="^rng_seed must be >= 0, got -1$"):
+            noisy_execute(circ, all_down_state(2), noise, 4, -1)
+
     @pytest.mark.parametrize("initial, message", [
         (np.array([0.0, 0.0, 0.0, 1.0]), "complex128"),
         (all_down_state(3), "widths differ"),

@@ -30,7 +30,7 @@ from trotterbench import (
 from trotterbench.cli import build_parser, main
 from trotterbench.trotter import TrotterOrder
 
-from oracles import naive_step_errors
+from oracles import naive_step_errors, per_cell_run_rows
 
 
 class TestRunConfig:
@@ -237,6 +237,40 @@ class TestOutputs:
         assert meta["tool"] == "trotterbench"
         assert "version" in meta
         assert meta["rmse"]["local"] >= 0
+
+    @pytest.mark.parametrize("shape", ["n2_one_step", "ideal_block_member", "shots",
+                                       "noisy", "zero_dm"])
+    def test_csv_bytes_are_the_per_cell_rows(self, shape, tmp_path):
+        small = RunConfig().replace(n=3, steps=3, j=-0.7)
+        if shape == "n2_one_step":
+            result = run_command(RunConfig().replace(n=2, steps=1))
+        elif shape == "ideal_block_member":
+            result = sweep_command(small, [0.5, 1.5, 2.5])[1]
+        elif shape == "shots":
+            result = run_command(small.replace(mode="shots", shots=64, seed=5))
+        elif shape == "noisy":
+            result = run_command(small.replace(mode="noisy", traj=16, p1=0.01, p2=0.05,
+                                               read01=0.02, seed=2, periodic=True))
+        else:  # a run whose simulated series is its exact series
+            ran = run_command(small)
+            result = dataclasses.replace(ran, sim=ran.exact)
+            assert not (result.sim.local - result.exact.local).any()
+        runner.write_run(result, tmp_path)
+        series, totals = per_cell_run_rows(result)
+        assert (tmp_path / "series.csv").read_text() == runner.csv_text(
+            ["t", "site", "m_sim", "m_exact", "dm"], series)
+        assert (tmp_path / "totals.csv").read_text() == runner.csv_text(
+            ["t", "m_total_sim", "m_total_exact", "dm_total"], totals)
+
+    def test_meta_rounds_each_float_of_the_config_to_12_digits(self, tmp_path):
+        run_command(RunConfig().replace(n=3, steps=2, dt=0.1 + 0.2, g=1 / 3, out=str(tmp_path)))
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["config"]["dt"] == 0.3
+        assert meta["config"]["g"] == 0.333333333333
+        assert meta["config"]["n"] == 3 and meta["config"]["periodic"] is False
+        assert meta["config"]["order"] == "first" and meta["config"]["out"] == str(tmp_path)
+        assert all(isinstance(v, float) and v == float(f"{v:.12g}")
+                   for v in meta["rmse"].values())
 
 
 class TestSweepCompareScaling:

@@ -240,6 +240,12 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_bitstrings(init_basis_state(1, [0]), 0, 1)
 
+    @pytest.mark.parametrize("shots", [10.5, 10.0, True])
+    def test_shots_that_are_not_an_integer_are_refused_by_name(self, shots):
+        # 10.5 drew 10 shots and True drew 1
+        with pytest.raises(ValueError, match=f"^shots must be an integer, got {shots!r}$"):
+            sample_bitstrings(all_down_state(3), shots, 1)
+
     def test_marginals_converge_over_seeds(self):
         # empirical per-bit frequency within 5 binomial sigma for >= 99% of
         # (seed, bit) pairs at 1024 shots

@@ -51,6 +51,7 @@ class TestParams:
         ("periodic", 1),
         ("n_spins", 4.5),
         ("n_spins", 4.0),
+        ("n_spins", True),
     ])
     def test_value_of_another_type_is_named(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be"):
@@ -154,6 +155,12 @@ class TestBuildEvolution:
     def test_invalid_steps(self):
         with pytest.raises(ValueError):
             build_evolution_circuit(TfimParams(n_spins=5), 0, TrotterOrder.FIRST)
+
+    @pytest.mark.parametrize("n_steps", [2.5, 2.0, True])
+    def test_steps_that_are_not_an_integer_are_refused_by_name(self, n_steps):
+        # 2.5 raised a TypeError from range()
+        with pytest.raises(ValueError, match=f"^n_steps must be an integer, got {n_steps!r}$"):
+            build_evolution_circuit(TfimParams(n_spins=3), n_steps, TrotterOrder.FIRST)
 
 
 class TestStepCorrectness:
