@@ -39,6 +39,18 @@ def check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def is_number(value) -> bool:
+    """A real number that is not a bool (JSON true/false)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_real(name: str, value) -> None:
+    """Refuse a `value` that is not `is_number`, naming it: the one rule for
+    every real-valued parameter."""
+    if not is_number(value):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 class Circuit:
     """Gates over `n_qubits` qubits, as parallel lists, with Trotter-step end marks.
 

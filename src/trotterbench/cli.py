@@ -18,6 +18,7 @@ import functools
 import json
 import sys
 
+from .circuit import is_number
 from .noise import DEVICE_LIKE
 from .runner import (
     CONFIG_KEYS,
@@ -28,7 +29,6 @@ from .runner import (
     compare_table,
     csv_text,
     fmt,
-    is_number,
     run_command,
     scaling_command,
     scaling_table,

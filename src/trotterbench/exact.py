@@ -187,6 +187,8 @@ def exact_series(params: list[TfimParams], times) -> list[MagnetizationSeries]:
     if any(p.periodic != periodic for p in params):
         raise ValueError("every chain of one series pass must have the same "
                          "boundary; the list mixes open and periodic chains")
+    if any(p.n_spins != params[0].n_spins for p in params):
+        raise ValueError("every chain of one series pass must have the same length")
     if periodic:
         local = np.stack([sector_series(p, times) for p in params])
     else:

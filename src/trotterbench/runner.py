@@ -6,7 +6,6 @@ comparisons, step-size scaling, and deterministic file output."""
 import dataclasses
 import json
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -14,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circuit import MAX_DENSE_SPINS, Circuit, circuit_unitary, encode, gate_counts
+from .circuit import MAX_DENSE_SPINS, Circuit, circuit_unitary, encode, gate_counts, is_number
 from .exact import Spectrum, chain_spectrum, exact_series, sector_blocks
 from .kernels import run_gates, run_gates_record
 from .noise import (
@@ -160,11 +159,6 @@ class RunConfig:
 
 #: The flat config keys, in order: RunConfig's fields.
 CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
-
-
-def is_number(value) -> bool:
-    """A real number that is not a bool (JSON true/false)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _typed(f: dataclasses.Field, value):

@@ -1,11 +1,15 @@
 """Trotter-step circuit synthesis for the transverse-field Ising chain.
 
-One first-order step realizes exp(+i g dt sx_j) on every site followed by
-exp(+i J dt sz_j sz_{j+1}) on odd then even bonds; the symmetric step wraps
-a full-step even-bond layer in half-step odd-bond and X layers on both
-sides. Rotation angles follow Rx(t) = exp(-i t/2 sx), Rz(t) = exp(-i t/2 sz),
-so a full step uses theta_x = -2 g dt and theta_zz = -2 J dt; each ZZ
-exponential is realized as CNOT(a,b) RZ(b, theta_zz) CNOT(a,b).
+A step is a table of (layer, weight) rows, emitted in order by one function
+(`_step`). The layers are "x", exp(+i w g dt sx_j) on every site, and "odd"
+and "even", exp(+i w J dt sz_a sz_b) on the bonds of odd and even 1-based
+index (wrap bond last). First order is (x, 1), (odd, 1), (even, 1); sym2 is
+(x, 1/2), (odd, 1/2), (even, 1), (odd, 1/2), (x, 1/2). A layer already
+emitted in the step runs in reverse gate order, which mirrors sym2's
+trailing half layers. Rotation angles follow Rx(t) = exp(-i t/2 sx),
+Rz(t) = exp(-i t/2 sz), so a row of weight w uses theta_x = -2 w g dt and
+theta_zz = -2 w J dt; each ZZ exponential is realized as
+CNOT(a,b) RZ(b, theta_zz) CNOT(a,b).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .circuit import Circuit, check_integer
+from .circuit import Circuit, check_integer, check_real
 
 
 class TrotterOrder(str, enum.Enum):
@@ -35,6 +39,9 @@ class TfimParams:
 
     def __post_init__(self):
         check_integer("n_spins", self.n_spins)
+        reals = (("j", self.coupling), ("g", self.field), ("dt", self.dt))
+        for key, value in reals:
+            check_real(key, value)
         if not isinstance(self.periodic, bool):
             raise ValueError(f"periodic must be True or False, got {self.periodic!r}")
         if self.n_spins < 2:
@@ -42,11 +49,11 @@ class TfimParams:
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.coupling == 0:
-            raise ValueError("coupling must be nonzero")
-        for key, value in (("j", self.coupling), ("g", self.field), ("dt", self.dt)):
+            raise ValueError(f"j must be nonzero, got {self.coupling}")
+        for key, value in reals:
             if not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value}")
-        # the largest rotation angles of a step, as the step builders compute them
+        # the largest rotation angles of a step, as `_step` computes them at weight 1
         for key, value in (("j", self.coupling), ("g", self.field)):
             if not math.isfinite(2.0 * abs(value) * self.dt):
                 raise ValueError(f"dt={self.dt} with {key}={value} gives a "
@@ -61,62 +68,48 @@ def chain_bonds(n_spins: int, periodic: bool = False) -> list[tuple[int, int]]:
     return bonds
 
 
-def odd_bonds(n_spins: int, periodic: bool = False) -> list[tuple[int, int]]:
-    """Bonds with odd 1-based index: (1,2), (3,4), ... in site labels 1..N."""
-    bonds = chain_bonds(n_spins, periodic)
-    return [b for k, b in enumerate(bonds, start=1) if k % 2 == 1]
+#: Each order's step as (layer, weight) rows in temporal order.
+_LAYERS = {
+    TrotterOrder.FIRST: (("x", 1), ("odd", 1), ("even", 1)),
+    TrotterOrder.SYMMETRIC: (("x", 0.5), ("odd", 0.5), ("even", 1), ("odd", 0.5), ("x", 0.5)),
+}
 
 
-def even_bonds(n_spins: int, periodic: bool = False) -> list[tuple[int, int]]:
-    bonds = chain_bonds(n_spins, periodic)
-    return [b for k, b in enumerate(bonds, start=1) if k % 2 == 0]
-
-
-def _x_layer(circ: Circuit, n: int, theta: float, reverse: bool = False) -> None:
-    sites = range(n - 1, -1, -1) if reverse else range(n)
-    for j in sites:
-        circ.rx(j, theta)
-
-
-def _zz_layer(circ: Circuit, bonds, theta: float, reverse: bool = False) -> None:
-    seq = reversed(bonds) if reverse else bonds
-    for a, b in seq:
-        circ.cnot(a, b).rz(b, theta).cnot(a, b)
+def _step(params: TfimParams, layers) -> Circuit:
+    """One Trotter step of `layers`, (layer, weight) rows as in `_LAYERS`.
+    A layer already emitted in this step runs in reverse gate order. A
+    weight may be negative: it scales the angles, never `params.dt`."""
+    n = params.n_spins
+    bonds = chain_bonds(n, params.periodic)
+    positions = {"x": range(n), "odd": bonds[0::2], "even": bonds[1::2]}
+    circ = Circuit(n)
+    emitted = set()
+    for layer, weight in layers:
+        seq = positions[layer][::-1] if layer in emitted else positions[layer]
+        emitted.add(layer)
+        if layer == "x":
+            theta = -2.0 * weight * params.field * params.dt
+            for j in seq:
+                circ.rx(j, theta)
+        else:
+            theta = -2.0 * weight * params.coupling * params.dt
+            for a, b in seq:
+                circ.cnot(a, b).rz(b, theta).cnot(a, b)
+    circ.mark_step()
+    return circ
 
 
 def first_order_step(params: TfimParams) -> Circuit:
     """One first-order Trotter step: X layer, then odd bonds, then even bonds."""
-    n = params.n_spins
-    circ = Circuit(n)
-    theta_x = -2.0 * params.field * params.dt
-    theta_zz = -2.0 * params.coupling * params.dt
-    _x_layer(circ, n, theta_x)
-    _zz_layer(circ, odd_bonds(n, params.periodic), theta_zz)
-    _zz_layer(circ, even_bonds(n, params.periodic), theta_zz)
-    circ.mark_step()
-    return circ
+    return _step(params, _LAYERS[TrotterOrder.FIRST])
 
 
 def symmetric_step(params: TfimParams) -> Circuit:
-    """One symmetric second-order step (palindromic half/full/half layering).
-
-    The trailing half layers are emitted in mirrored gate order; gates within
-    a layer commute, so the unitary is unchanged and the gate list reads the
-    same forwards and backwards whenever the middle layer has at most one bond.
-    """
-    n = params.n_spins
-    circ = Circuit(n)
-    theta_x_half = -params.field * params.dt
-    theta_zz_half = -params.coupling * params.dt
-    theta_zz_full = -2.0 * params.coupling * params.dt
-    odd = odd_bonds(n, params.periodic)
-    _x_layer(circ, n, theta_x_half)
-    _zz_layer(circ, odd, theta_zz_half)
-    _zz_layer(circ, even_bonds(n, params.periodic), theta_zz_full)
-    _zz_layer(circ, odd, theta_zz_half, reverse=True)
-    _x_layer(circ, n, theta_x_half, reverse=True)
-    circ.mark_step()
-    return circ
+    """One symmetric second-order step: X/2, odd/2, even, odd/2, X/2, the
+    trailing half layers in mirrored gate order. Gates within a layer
+    commute, so the unitary is unchanged and the gate list reads the same
+    forwards and backwards whenever the middle layer has at most one bond."""
+    return _step(params, _LAYERS[TrotterOrder.SYMMETRIC])
 
 
 def build_evolution_circuit(params: TfimParams, n_steps: int, order: TrotterOrder) -> Circuit:
@@ -125,12 +118,11 @@ def build_evolution_circuit(params: TfimParams, n_steps: int, order: TrotterOrde
     check_integer("n_steps", n_steps)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    if order == TrotterOrder.FIRST:
-        step = first_order_step(params)
-    elif order == TrotterOrder.SYMMETRIC:
-        step = symmetric_step(params)
-    else:
-        raise ValueError(f"unknown Trotter order {order!r}")
+    try:
+        layers = _LAYERS[order]
+    except (KeyError, TypeError):  # an unhashable order raises TypeError
+        raise ValueError(f"unknown Trotter order {order!r}") from None
+    step = _step(params, layers)
     circ = Circuit(params.n_spins)
     for _ in range(n_steps):
         circ.extend(step)

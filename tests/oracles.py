@@ -82,6 +82,57 @@ def naive_trotter_step(n, coupling, field, dt, order, periodic=False):
     return half_x @ (half_odd * (bond_phases(even, dt) * (half_odd * half_x)))
 
 
+def _parity_bonds(n, periodic, parity):
+    """Bonds with 1-based index of the given parity (1 odd, 0 even), wrap bond last."""
+    bonds = [(i, i + 1) for i in range(n - 1)] + ([(n - 1, 0)] if periodic else [])
+    return [b for k, b in enumerate(bonds, start=1) if k % 2 == parity]
+
+
+def _x_layer(circ, n, theta, reverse=False):
+    sites = range(n - 1, -1, -1) if reverse else range(n)
+    for j in sites:
+        circ.rx(j, theta)
+
+
+def _zz_layer(circ, bonds, theta, reverse=False):
+    seq = reversed(bonds) if reverse else bonds
+    for a, b in seq:
+        circ.cnot(a, b).rz(b, theta).cnot(a, b)
+
+
+def reference_first_order_step(params):
+    """One first-order step as a hand-written builder emits it: X layer, odd
+    bonds, even bonds. The reference for `trotter._step`'s table."""
+    n = params.n_spins
+    circ = Circuit(n)
+    theta_x = -2.0 * params.field * params.dt
+    theta_zz = -2.0 * params.coupling * params.dt
+    _x_layer(circ, n, theta_x)
+    _zz_layer(circ, _parity_bonds(n, params.periodic, 1), theta_zz)
+    _zz_layer(circ, _parity_bonds(n, params.periodic, 0), theta_zz)
+    circ.mark_step()
+    return circ
+
+
+def reference_symmetric_step(params):
+    """One sym2 step as a hand-written builder emits it: X/2, odd/2, even,
+    then odd/2 and X/2 in mirrored gate order. The reference for
+    `trotter._step`'s table."""
+    n = params.n_spins
+    circ = Circuit(n)
+    theta_x_half = -params.field * params.dt
+    theta_zz_half = -params.coupling * params.dt
+    theta_zz_full = -2.0 * params.coupling * params.dt
+    odd = _parity_bonds(n, params.periodic, 1)
+    _x_layer(circ, n, theta_x_half)
+    _zz_layer(circ, odd, theta_zz_half)
+    _zz_layer(circ, _parity_bonds(n, params.periodic, 0), theta_zz_full)
+    _zz_layer(circ, odd, theta_zz_half, reverse=True)
+    _x_layer(circ, n, theta_x_half, reverse=True)
+    circ.mark_step()
+    return circ
+
+
 def naive_step_errors(n, coupling, field, dts, periodic=False):
     """{order: [||U_step - exp(-i H dt)||_2 for dt in dts]} on the full 2^n
     space, with U_step from `naive_trotter_step` and H from

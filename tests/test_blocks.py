@@ -125,9 +125,13 @@ def test_batched_open_chain_series_is_the_per_g_series_bit_for_bit():
                 assert one.local.tobytes() == np.clip(single, -1.0, 1.0).tobytes(), msg
 
 
-def test_series_pass_refuses_chains_of_different_lengths():
-    with pytest.raises(ValueError, match="same length"):
-        fermion.z_series([TfimParams(n_spins=3), TfimParams(n_spins=4)], np.zeros(1))
+@pytest.mark.parametrize("periodic", [False, True])
+def test_series_pass_refuses_chains_of_different_lengths(periodic):
+    # the periodic pass raised numpy's unnamed "all input arrays must have the same shape"
+    params = [TfimParams(n_spins=3, periodic=periodic), TfimParams(n_spins=4, periodic=periodic)]
+    message = "^every chain of one series pass must have the same length$"
+    with pytest.raises(ValueError, match=message):
+        exact.exact_series(params, np.zeros(1))
 
 
 class TestOneBlockPerList:

@@ -1,9 +1,13 @@
 """Trotter-step synthesis: structure, angles, error order, and symmetry."""
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 
 from trotterbench import (
+    Circuit,
     TfimParams,
     TrotterOrder,
     build_evolution_circuit,
@@ -13,9 +17,18 @@ from trotterbench import (
     symmetric_step,
 )
 from trotterbench.circuit import KIND_CNOT, KIND_RX, KIND_RZ
-from trotterbench.trotter import even_bonds, odd_bonds
+from trotterbench.statevector import all_down_state, z_expectations
+from trotterbench.trotter import _step
 
-from oracles import circuit_of, expm_hermitian, gate_rows, naive_hamiltonian, negated_angles
+from oracles import (
+    circuit_of,
+    expm_hermitian,
+    gate_rows,
+    naive_hamiltonian,
+    negated_angles,
+    reference_first_order_step,
+    reference_symmetric_step,
+)
 
 DTS = [0.0125, 0.025, 0.05, 0.1, 0.2]
 
@@ -27,13 +40,25 @@ def step_error(n, field, dt, order):
     return float(np.linalg.norm(circuit_unitary(step) - exact, 2))
 
 
+def step_bonds(params):
+    """The (control, target) pair of each bond of a first-order step, in gate
+    order: the odd layer's bonds, then the even layer's."""
+    circ = first_order_step(params)
+    return [(a, b) for k, a, b in zip(circ.kinds, circ.qa, circ.qb) if k == KIND_CNOT][::2]
+
+
+def circuit_bits(circ):
+    """Every gate list and the step marks, each angle as its exact float.hex."""
+    return circ.kinds, circ.qa, circ.qb, circ.step_marks, [float.hex(t) for t in circ.theta]
+
+
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             TfimParams(n_spins=1)
         with pytest.raises(ValueError):
             TfimParams(n_spins=3, dt=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^j must be nonzero, got 0.0$"):
             TfimParams(n_spins=3, coupling=0.0)
 
     @pytest.mark.parametrize("key, value, message", [
@@ -57,13 +82,26 @@ class TestParams:
         with pytest.raises(ValueError, match=f"^{key} must be"):
             TfimParams(**{"n_spins": 4, key: value})
 
+    @pytest.mark.parametrize("key, name, value", [
+        ("field", "g", "1"),  # raised a TypeError from the dt comparison
+        ("coupling", "j", True),  # built a J=1 chain
+        ("dt", "dt", None),
+        ("coupling", "j", 1j),
+    ])
+    def test_real_value_of_another_type_is_named(self, key, name, value):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be a real number, got {re.escape(repr(value))}$"):
+            TfimParams(n_spins=3, **{key: value})
+
     def test_bond_parity_n5(self):
-        assert odd_bonds(5) == [(0, 1), (2, 3)]
-        assert even_bonds(5) == [(1, 2), (3, 4)]
+        bonds = step_bonds(TfimParams(n_spins=5))
+        assert bonds[:2] == [(0, 1), (2, 3)]  # odd layer
+        assert bonds[2:] == [(1, 2), (3, 4)]  # even layer
 
     def test_bond_parity_periodic(self):
-        assert odd_bonds(4, periodic=True) == [(0, 1), (2, 3)]
-        assert even_bonds(4, periodic=True) == [(1, 2), (3, 0)]
+        bonds = step_bonds(TfimParams(n_spins=4, periodic=True))
+        assert bonds[:2] == [(0, 1), (2, 3)]
+        assert bonds[2:] == [(1, 2), (3, 0)]
 
 
 class TestFirstOrderStep:
@@ -217,3 +255,75 @@ class TestLayerCommutation:
         # swap the two odd-bond ZZ blocks (three gates each)
         swapped = circuit_of(5, rows[:5] + rows[8:11] + rows[5:8] + rows[11:])
         np.testing.assert_allclose(circuit_unitary(swapped), u0, atol=1e-12)
+
+
+class TestLayerTable:
+    """One emitter, the orders as data: `_step` gives each order's gates,
+    step marks and angle bits exactly as the hand-written builders of
+    `oracles` do."""
+
+    ORDERS = [(first_order_step, reference_first_order_step, TrotterOrder.FIRST),
+              (symmetric_step, reference_symmetric_step, TrotterOrder.SYMMETRIC)]
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("step, reference, order", ORDERS)
+    def test_steps_match_the_reference_bit_for_bit(self, step, reference, order, periodic):
+        for n, coupling, field, dt in itertools.product(
+                range(2, 13), (1.0, -0.7), (0.0, 1.0, 2.5, -1.3), (0.2, 0.05, 0.013, 1.7)):
+            params = TfimParams(n, coupling, field, dt, periodic)
+            ref = reference(params)
+            assert circuit_bits(step(params)) == circuit_bits(ref), params
+            for n_steps in (1, 7):
+                expected = Circuit(n)
+                for _ in range(n_steps):
+                    expected.extend(ref)
+                built = build_evolution_circuit(params, n_steps, order)
+                assert circuit_bits(built) == circuit_bits(expected), (params, n_steps)
+
+    @pytest.mark.parametrize("order", ["third", ["x"], None, 2])
+    def test_unknown_order_is_refused_by_name(self, order):
+        with pytest.raises(ValueError, match=f"^unknown Trotter order {re.escape(repr(order))}$"):
+            build_evolution_circuit(TfimParams(n_spins=3), 1, order)
+
+
+class TestSplittingIdentities:
+    """Two exact identities, on tables local to this test. With A the X layer
+    and B the full ZZ layer, first order is U1 = B A and sym2 is
+    U2 = A^(1/2) B A^(1/2), so U2^k = A^(1/2) U1^k A^(-1/2). And
+    U1^k = B^(1/2) (B^(1/2) A B^(1/2))^k B^(-1/2): all-down is an eigenstate
+    of B and Z_j commutes with B, so <Z_j> after k first-order steps equals
+    <Z_j> after k steps of the ZZ-outer Strang splitting (D. Layden, PRL 128,
+    210501 (2022))."""
+
+    HALF_X = (("x", 0.5),)
+    MINUS_HALF_X = (("x", -0.5),)
+    ZZ_OUTER = (("odd", 0.5), ("even", 0.5), ("x", 1), ("even", 0.5), ("odd", 0.5))
+    CHAINS = list(itertools.product((3, 4, 5), (0.7, 2.5, -1.3)))
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("coupling", [1.0, -0.7])
+    def test_sym2_is_first_order_conjugated_by_half_an_x_layer(self, coupling, periodic):
+        for n, field in self.CHAINS:
+            params = TfimParams(n, coupling, field, 0.2, periodic)
+            u1 = circuit_unitary(first_order_step(params))
+            u2 = circuit_unitary(symmetric_step(params))
+            half = circuit_unitary(_step(params, self.HALF_X))
+            minus_half = circuit_unitary(_step(params, self.MINUS_HALF_X))
+            power1 = power2 = np.eye(1 << n)
+            for k in range(1, 16):
+                power1, power2 = u1 @ power1, u2 @ power2
+                deviation = np.linalg.norm(power2 - half @ power1 @ minus_half, 2)
+                assert deviation <= 1e-12, (params, k)
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("coupling", [1.0, -0.7])
+    def test_first_order_reads_out_as_the_zz_outer_splitting(self, coupling, periodic):
+        for n, field in self.CHAINS:
+            params = TfimParams(n, coupling, field, 0.2, periodic)
+            u1 = circuit_unitary(first_order_step(params))
+            u_zz = circuit_unitary(_step(params, self.ZZ_OUTER))
+            first = zz_outer = all_down_state(n)
+            for k in range(1, 16):
+                first, zz_outer = u1 @ first, u_zz @ zz_outer
+                deviation = np.abs(z_expectations(first) - z_expectations(zz_outer)).max()
+                assert deviation <= 1e-12, (params, k)
