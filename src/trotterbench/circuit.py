@@ -17,10 +17,7 @@ import numbers
 import numpy as np
 
 from . import kernels
-
-KIND_RX = 0
-KIND_RZ = 1
-KIND_CNOT = 2
+from .kernels import KIND_CNOT, KIND_RX, KIND_RZ
 
 _KIND_NAMES = {KIND_RX: "RX", KIND_RZ: "RZ", KIND_CNOT: "CNOT"}
 
@@ -30,13 +27,17 @@ _KIND_NAMES = {KIND_RX: "RX", KIND_RZ: "RZ", KIND_CNOT: "CNOT"}
 MAX_DENSE_SPINS = 12
 
 
-def check_integer(name: str, value) -> None:
-    """Refuse a `value` that is a bool or not a `numbers.Integral`, naming
-    it: the one rule for every count, width, qubit and seed."""
-    if type(value) is int:  # the common case, without the slow ABC check
-        return
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def check_integer(name: str, value, low: int | None = None) -> int:
+    """`value` as a Python int. A bool, a value that is not a
+    `numbers.Integral`, or one below `low` raises a ValueError naming it:
+    the one rule for every count, width, qubit and seed."""
+    if type(value) is not int:  # the common case skips the slow ABC check
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def is_number(value) -> bool:
@@ -44,11 +45,17 @@ def is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def check_real(name: str, value) -> None:
-    """Refuse a `value` that is not `is_number`, naming it: the one rule for
-    every real-valued parameter."""
-    if not is_number(value):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+def check_real(name: str, value) -> float:
+    """`value` as a Python float. A value that is not `is_number`, or that
+    is not finite, raises a ValueError naming it: the one rule for every
+    real-valued parameter."""
+    if type(value) is not float:  # the common case skips the slow ABC check
+        if not is_number(value):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 class Circuit:
@@ -60,10 +67,7 @@ class Circuit:
     """
 
     def __init__(self, n_qubits: int):
-        check_integer("n_qubits", n_qubits)
-        if n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-        self.n_qubits = n_qubits
+        self.n_qubits = check_integer("n_qubits", n_qubits, 1)
         self.kinds: list[int] = []
         self.qa: list[int] = []
         self.qb: list[int] = []
@@ -74,7 +78,7 @@ class Circuit:
         return len(self.kinds)
 
     def _qubit(self, q: int, name: str = "qubit") -> int:
-        check_integer(name, q)
+        q = check_integer(name, q)
         if not 0 <= q < self.n_qubits:
             raise ValueError(f"qubit {q} out of range for {self.n_qubits}-qubit circuit")
         return q
@@ -87,8 +91,7 @@ class Circuit:
         return self
 
     def _rotation(self, kind: int, qubit: int, theta: float) -> "Circuit":
-        if not math.isfinite(theta):
-            raise ValueError(f"non-finite rotation angle {theta}")
+        theta = check_real("theta", theta)
         return self._add(kind, self._qubit(qubit), -1, theta)
 
     def rx(self, qubit: int, theta: float) -> "Circuit":

@@ -18,9 +18,9 @@ cached (2^n,) diagonal: exp(-i theta/2) where bits a and b agree and
 exp(+i theta/2) where they differ, the factor RZ gives each amplitude between
 the two CNOTs. Any other gate sequence runs gate by gate.
 
-Gate encoding (see circuit.encode): kinds 0=RX, 1=RZ, 2=CNOT; `qa` is the
-rotation qubit or CNOT control, `qb` the CNOT target. Pauli codes: 0=I, 1=X,
-2=Y, 3=Z. A fault code (one int8 per gate and trajectory) holds the Pauli
+Gate encoding (see circuit.encode): kinds KIND_RX=0, KIND_RZ=1, KIND_CNOT=2;
+`qa` is the rotation qubit or CNOT control, `qb` the CNOT target. Pauli
+codes: 0=I, 1=X, 2=Y, 3=Z. A fault code (one int8 per gate and trajectory) holds the Pauli
 applied to `qa` after the gate in bits 2-3 and the Pauli applied to `qb` in
 bits 0-1. Faults are sparse events: each one permutes the amplitudes of its
 own trajectory and multiplies them by a unit phase (+-1, +-i), both read by
@@ -37,6 +37,10 @@ import functools
 import math
 
 import numpy as np
+
+KIND_RX = 0
+KIND_RZ = 1
+KIND_CNOT = 2
 
 
 def active_backend() -> str:
@@ -110,9 +114,9 @@ def _cnot(amps, control, target):
 
 
 def _gate(amps, kind, a, b, angle):
-    if kind == 0:
+    if kind == KIND_RX:
         _rx(amps, a, angle)
-    elif kind == 1:
+    elif kind == KIND_RZ:
         _rz(amps, a, angle)
     else:
         _cnot(amps, a, b)
@@ -130,7 +134,7 @@ def _angles(kinds, theta, columns):
     factors = {}  # per RX angle, or per row of RX angles where the columns differ
     angles = []
     for i, (kind, first, same) in enumerate(zip(kinds, block[:, 0].tolist(), uniform)):
-        if kind != 0:
+        if kind != KIND_RX:
             if not same:
                 raise ValueError("only RX angles may differ between the columns of a block")
             angles.append(first)
@@ -186,8 +190,8 @@ def _pauli_table(n_qubits, a, b, conj):
 def _is_zz(kinds, qa, qb, i, stop):
     """Whether gates i, i+1, i+2 (all before `stop`) are CNOT(a,b) RZ(b)
     CNOT(a,b)."""
-    return (i + 2 < stop and kinds[i] == 2 and kinds[i + 1] == 1
-            and kinds[i + 2] == 2 and qa[i + 1] == qb[i]
+    return (i + 2 < stop and kinds[i] == KIND_CNOT and kinds[i + 1] == KIND_RZ
+            and kinds[i + 2] == KIND_CNOT and qa[i + 1] == qb[i]
             and qa[i + 2] == qa[i] and qb[i + 2] == qb[i])
 
 
@@ -201,13 +205,13 @@ def z_signs(n_qubits):
     return signs
 
 
-def _z(amps, signs):
-    """Per-qubit <sigma_z>: (n,) for one state, (B, n) for (2^n, B). The
-    probabilities go to BLAS as a C-contiguous (B, 2^n) copy, because
-    OpenBLAS rounds a product with a transposed operand differently at some
-    sizes (n = 4, 9 and 10 among them)."""
-    probs = amps.real * amps.real + amps.imag * amps.imag
-    return np.ascontiguousarray(probs.T) @ signs
+def probability_rows(amps):
+    """|amp|^2 of one state (2^n,), or of each column of a (2^n, B) block
+    as the rows of a C-contiguous (B, 2^n) copy: the rows the sampler
+    reads, and the operand of every <Z> product `rows @ z_signs(n)`,
+    because OpenBLAS rounds a product with a transposed operand
+    differently at some sizes (n = 4, 9 and 10 among them)."""
+    return np.ascontiguousarray((amps.real * amps.real + amps.imag * amps.imag).T)
 
 
 def _run(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out):
@@ -256,9 +260,9 @@ def _run(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out):
         if k < len(marks):
             if faults is None:
                 for c, run in enumerate(out if out.ndim == 3 else out[None]):
-                    run[k] = _z(batch[:, c:c + 1], signs)
+                    run[k] = probability_rows(batch[:, c:c + 1]) @ signs
             else:
-                out[..., k, :] = _z(batch, signs)
+                out[..., k, :] = probability_rows(batch) @ signs
         start = stop
 
 
@@ -286,4 +290,4 @@ def run_gates_noisy(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out):
 def z_expectations(amps: np.ndarray, n_qubits: int) -> np.ndarray:
     """Per-qubit <sigma_z> of normalized amplitudes: shape (n,) for one
     state, (B, n) for a (2^n, B) batch."""
-    return _z(amps, z_signs(n_qubits))
+    return probability_rows(amps) @ z_signs(n_qubits)

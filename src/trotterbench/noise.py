@@ -16,13 +16,13 @@ its precomputed words, so the streams are numpy's own.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .circuit import KIND_CNOT, Circuit, check_integer, encode
+from .circuit import Circuit, check_integer, check_real, encode
+from .kernels import KIND_CNOT
 from .statevector import check_state
 
 
@@ -37,9 +37,10 @@ class NoiseParams:
 
     def __post_init__(self):
         for name in ("p1", "p2", "read01", "read10"):
-            v = getattr(self, name)
+            v = check_real(name, getattr(self, name))
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
+            object.__setattr__(self, name, v)
 
     def is_zero(self) -> bool:
         return self.p1 == self.p2 == self.read01 == self.read10 == 0.0
@@ -84,12 +85,10 @@ def noisy_execute(
     block of 256 at every n, and at n = 10 so do blocks of 2 and 44.
     Trajectories run in blocks of TRAJECTORY_BLOCK and are summed in order.
     """
-    check_integer("trajectories", trajectories)
+    trajectories = check_integer("trajectories", trajectories)
     if not 1 <= trajectories <= MAX_TRAJECTORIES:
         raise ValueError(f"trajectories must be in [1, 2**32], got {trajectories}")
-    check_integer("rng_seed", rng_seed)
-    if rng_seed < 0:
-        raise ValueError(f"rng_seed must be >= 0, got {rng_seed}")
+    rng_seed = check_integer("rng_seed", rng_seed, 0)
     check_state(initial, circuit.n_qubits, block=False)
     kinds, qa, qb, theta, marks = encode(circuit)
     n = circuit.n_qubits
@@ -150,9 +149,7 @@ def _seed_words(rng_seed: int, block: range) -> np.ndarray:
     uint32 arrays over the block: the entropy of trajectory t is the 32-bit
     words of rng_seed, least significant first, then t as one word.
     """
-    rng_seed = operator.index(rng_seed)
-    if rng_seed < 0:
-        raise ValueError(f"seed must be >= 0, got {rng_seed}")
+    rng_seed = check_integer("seed", rng_seed, 0)
     if block.stop > MAX_TRAJECTORIES:
         raise ValueError(f"trajectory index must be < 2**32, got {block.stop - 1}")
     seed_words = [rng_seed & _MASK32]

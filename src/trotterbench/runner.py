@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circuit import MAX_DENSE_SPINS, Circuit, circuit_unitary, encode, gate_counts, is_number
+from .circuit import (MAX_DENSE_SPINS, Circuit, check_integer, check_real, circuit_unitary,
+                      encode, gate_counts, is_number)
 from .exact import Spectrum, chain_spectrum, exact_series, sector_blocks
 from .kernels import run_gates, run_gates_record
 from .noise import (
@@ -112,21 +113,19 @@ class RunConfig:
                 f"n must be <= {MAX_DENSE_SPINS}, the size limit of the dense "
                 f"matrices of the periodic reference and scaling, got {params.n_spins}"
             )
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        check_integer("steps", self.steps, 1)
         if not math.isfinite(self.steps * self.dt):
             raise ValueError(f"dt={self.dt} with steps={self.steps} gives a "
                              "non-finite time steps*dt")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_integer("seed", self.seed, 0)
         if self.mode != "noisy" and not noise.is_zero():
             raise ValueError(
                 "p1, p2, read01 and read10 apply only in noisy mode; "
                 f"{self.mode} mode would ignore them"
             )
         check_mode_keys(self.changed_keys(), self.mode)
-        if self.mode == "shots" and self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
+        if self.mode == "shots":
+            check_integer("shots", self.shots, 1)
         if self.mode == "noisy" and not 1 <= self.traj <= MAX_TRAJECTORIES:
             raise ValueError(f"traj must be in [1, 2**32], got {self.traj}")
 
@@ -280,7 +279,7 @@ def _g_configs(base: RunConfig, g_values, command: str) -> list[RunConfig]:
     g_values = list(g_values)
     if not g_values:
         raise ValueError("g_values must be nonempty")
-    return [base.replace(g=float(g), out=None) for g in g_values]
+    return [base.replace(g=check_real("g", g), out=None) for g in g_values]
 
 
 def sweep_command(base: RunConfig, g_values) -> list[RunResult]:
@@ -334,7 +333,7 @@ def scaling_command(base: RunConfig, dt_values) -> list[dict]:
     1e-14, as a fit through a point at the roundoff floor reads roundoff,
     not the order. Every dt is checked before the eigensolves."""
     check_unread_keys(base.changed_keys(), "scaling")
-    dt_values = [float(dt) for dt in dt_values]
+    dt_values = [check_real("dt", dt) for dt in dt_values]
     if len(set(dt_values)) < 3:
         raise ValueError(f"need at least 3 distinct dt values for a slope fit, got {dt_values}")
     step_params = [dataclasses.replace(base.tfim, dt=dt) for dt in dt_values]

@@ -31,12 +31,12 @@ def check_state(amps: np.ndarray, n_qubits: int, block: bool = True) -> None:
 
 def init_basis_state(n_qubits: int, bits: Sequence[int]) -> np.ndarray:
     """Computational basis state with qubit j set to bits[j]."""
-    if n_qubits < 1:
-        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
+    n_qubits = check_integer("n_qubits", n_qubits, 1)
     if len(bits) != n_qubits:
         raise ValueError(f"expected {n_qubits} bits, got {len(bits)}")
     index = 0
     for j, b in enumerate(bits):
+        b = check_integer("bits", b)
         if b not in (0, 1):
             raise ValueError(f"bits must be 0 or 1, got {b}")
         index |= b << j
@@ -74,11 +74,8 @@ def sample_bitstrings(amps: np.ndarray, shots: int, rng_seed) -> np.ndarray:
     or (B, 2^n), indexed by basis index: bit j of the index is the outcome
     of qubit j.
     """
-    check_integer("shots", shots)
-    if shots <= 0:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    # one contiguous row of probabilities per state, as a single state has
-    probs = np.ascontiguousarray((amps.real**2 + amps.imag**2).T)
+    shots = check_integer("shots", shots, 1)
+    probs = kernels.probability_rows(amps)
     rows = probs.reshape(-1, probs.shape[-1])
     totals = rows.sum(axis=1)
     if np.any(np.abs(totals - 1.0) > 1e-9):

@@ -38,21 +38,15 @@ class TfimParams:
     periodic: bool = False
 
     def __post_init__(self):
-        check_integer("n_spins", self.n_spins)
-        reals = (("j", self.coupling), ("g", self.field), ("dt", self.dt))
-        for key, value in reals:
-            check_real(key, value)
+        object.__setattr__(self, "n_spins", check_integer("n_spins", self.n_spins, 2))
+        for attr, key in (("coupling", "j"), ("field", "g"), ("dt", "dt")):
+            object.__setattr__(self, attr, check_real(key, getattr(self, attr)))
         if not isinstance(self.periodic, bool):
             raise ValueError(f"periodic must be True or False, got {self.periodic!r}")
-        if self.n_spins < 2:
-            raise ValueError(f"n_spins must be >= 2, got {self.n_spins}")
         if self.dt <= 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.coupling == 0:
             raise ValueError(f"j must be nonzero, got {self.coupling}")
-        for key, value in reals:
-            if not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value}")
         # the largest rotation angles of a step, as `_step` computes them at weight 1
         for key, value in (("j", self.coupling), ("g", self.field)):
             if not math.isfinite(2.0 * abs(value) * self.dt):
@@ -115,9 +109,7 @@ def symmetric_step(params: TfimParams) -> Circuit:
 def build_evolution_circuit(params: TfimParams, n_steps: int, order: TrotterOrder) -> Circuit:
     """Repeat the chosen step `n_steps` times; no cross-step layer fusion,
     so the state at every step mark is exactly the per-step measured state."""
-    check_integer("n_steps", n_steps)
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    n_steps = check_integer("n_steps", n_steps, 1)
     try:
         layers = _LAYERS[order]
     except (KeyError, TypeError):  # an unhashable order raises TypeError

@@ -1,7 +1,8 @@
-"""Property tests: the run config survives the config-file path, the ideal
-Trotter series keeps the chain's symmetries and the g=0 limit, and every
-step circuit's dense unitary is unitary and equals the product of its
-Kronecker-built gate matrices.
+"""Property tests: the run config survives the config-file path, chain and
+noise parameters that compare equal hash equal, the ideal Trotter series
+keeps the chain's symmetries and the g=0 limit, and every step circuit's
+dense unitary is unitary and equals the product of its Kronecker-built gate
+matrices.
 
 Examples are derandomized with a fixed count, so every run checks the same
 cases and the suite stays deterministic.
@@ -12,10 +13,11 @@ import math
 import string
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trotterbench import (
+    NoiseParams,
     RunConfig,
     TfimParams,
     circuit_unitary,
@@ -82,6 +84,30 @@ def test_config_survives_a_config_file(cfg, tmp_path_factory):
     merged, extras = merge_config(build_parser().parse_args(["run", "--config", str(path)]))
     assert merged == cfg
     assert extras == {}
+
+
+scalars = st.sampled_from([float, np.float32, np.float64])
+integers = st.sampled_from([int, np.int64, np.int32])
+
+
+@PROPERTY
+@given(n=st.integers(2, 12), value=st.floats(1e-3, 10.0), kinds=st.tuples(integers, integers),
+       wraps=st.tuples(scalars, scalars), key=st.sampled_from(["coupling", "field", "dt"]))
+@example(n=3, value=0.1, kinds=(int, int), wraps=(np.float32, float), key="dt")
+def test_equal_chain_params_hash_equal(n, value, kinds, wraps, key):
+    a, b = (TfimParams(kind(n), **{key: wrap(value)}) for kind, wrap in zip(kinds, wraps))
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@PROPERTY
+@given(value=rate, wraps=st.tuples(scalars, scalars),
+       key=st.sampled_from(["p1", "p2", "read01", "read10"]))
+@example(value=0.02, wraps=(np.float32, float), key="p2")
+def test_equal_noise_params_hash_equal(value, wraps, key):
+    a, b = (NoiseParams(**{key: wrap(value)}) for wrap in wraps)
+    if a == b:
+        assert hash(a) == hash(b)
 
 
 def ideal_series(n, j, g, dt, steps, order, periodic):
