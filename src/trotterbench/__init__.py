@@ -31,7 +31,6 @@ from .statevector import (
 )
 from .trotter import (
     TfimParams,
-    TrotterOrder,
     build_evolution_circuit,
     first_order_step,
     symmetric_step,
@@ -47,7 +46,6 @@ __all__ = [
     "execute",
     "sample_bitstrings",
     "TfimParams",
-    "TrotterOrder",
     "first_order_step",
     "symmetric_step",
     "build_evolution_circuit",

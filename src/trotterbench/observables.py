@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import basis_qubits, z_signs
+from .kernels import z_signs
 
 
 @dataclass
@@ -52,13 +52,19 @@ class ErrorSummary:
 
 def local_magnetization_from_counts(counts: np.ndarray) -> np.ndarray:
     """Shot estimate M_j = (n[bit_j = 0] - n[bit_j = 1]) / shots from the
-    (2^n,) counts per basis index of `statevector.sample_bitstrings`. Every
+    (2^n,) or (G, 2^n) counts per basis index of `sample_bitstrings`. Every
     partial sum of `counts @ z_signs(n)` is an integer, so each M_j is the
-    exact count difference over shots."""
+    exact count difference over shots, in a block bit for bit as alone."""
     counts = np.asarray(counts)
-    n = basis_qubits(counts, "counts", block=False)
-    shots = counts.sum()
-    if shots < 1:
+    n = (counts.shape[-1] if counts.ndim in (1, 2) else 0).bit_length() - 1
+    if n < 1 or counts.shape[-1] != 1 << n:
+        raise ValueError(f"counts must have shape (2^n,) or (G, 2^n), got {counts.shape}")
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
+    if (counts < 0).any():
+        raise ValueError(f"counts must not be negative, got {counts.min()}")
+    shots = counts.sum(axis=-1, keepdims=True)
+    if (shots < 1).any():
         raise ValueError("counts must be nonempty")
     return counts @ z_signs(n) / shots
 

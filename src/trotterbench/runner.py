@@ -31,7 +31,7 @@ from .observables import (
     scaling_fit,
 )
 from .statevector import all_down_state, sample_bitstrings, z_expectations
-from .trotter import TfimParams, TrotterOrder, build_evolution_circuit
+from .trotter import LAYERS, TfimParams, build_evolution_circuit
 
 MODES = ("ideal", "shots", "noisy")
 
@@ -87,8 +87,7 @@ class RunConfig:
     g: float = _key(1.0, "transverse field g")
     dt: float = _key(0.2, "Trotter step size")
     steps: int = _key(20, "number of Trotter steps")
-    order: TrotterOrder = _key(TrotterOrder.FIRST, "Trotter order",
-                               tuple(o.value for o in TrotterOrder))
+    order: str = _key("first", "Trotter order", tuple(LAYERS))
     mode: str = _key("ideal", "execution mode", MODES)
     shots: int = _key(1024, "shots per time point")
     traj: int = _key(256, "noise trajectories per run")
@@ -143,9 +142,7 @@ class RunConfig:
         return NoiseParams(p1=self.p1, p2=self.p2, read01=self.read01, read10=self.read10)
 
     replace = dataclasses.replace
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "order": self.order.value}
+    to_dict = asdict
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -226,7 +223,7 @@ def _simulate_local(configs: list[RunConfig], circuits: list[Circuit]) -> np.nda
     # shots: every g samples step k from the stream (seed, k)
     def sample(k):
         counts = sample_bitstrings(amps, base.shots, (base.seed, k))
-        return [local_magnetization_from_counts(row) for row in counts]
+        return local_magnetization_from_counts(counts)
 
     local[:, 0] = sample(0)
     prev = 0
@@ -305,8 +302,8 @@ def compare_command(base: RunConfig, g_values) -> list[dict]:
     Each order runs all g as one block, and both compare with one exact
     series per g. Every g is checked before the first run."""
     configs = _g_configs(base, g_values, "compare")
-    firsts = _run_block([c.replace(order=TrotterOrder.FIRST) for c in configs])
-    syms = _run_block([c.replace(order=TrotterOrder.SYMMETRIC) for c in configs],
+    firsts = _run_block([c.replace(order="first") for c in configs])
+    syms = _run_block([c.replace(order="sym2") for c in configs],
                       [r.exact for r in firsts])
     rows = []
     for config, first_run, sym_run in zip(configs, firsts, syms):
@@ -339,16 +336,16 @@ def scaling_command(base: RunConfig, dt_values) -> list[dict]:
     step_params = [dataclasses.replace(base.tfim, dt=dt) for dt in dt_values]
     spec = chain_spectrum(base.tfim)
     rows = []
-    for order in (TrotterOrder.FIRST, TrotterOrder.SYMMETRIC):
+    for order in ("first", "sym2"):
         errs = [_step_error(spec, params, order) for params in step_params]
         slope = "degenerate" if min(errs) < 1e-14 else scaling_fit(dt_values, errs)[0]
-        rows.append({"order": order.value, "slope": slope, "errors": errs})
+        rows.append({"order": order, "slope": slope, "errors": errs})
     if base.out is not None:
         _write_csv(Path(base.out) / "scaling.csv", *scaling_table(rows))
     return rows
 
 
-def _step_error(spec: tuple[Spectrum, Spectrum], params: TfimParams, order: TrotterOrder):
+def _step_error(spec: tuple[Spectrum, Spectrum], params: TfimParams, order: str):
     """||U_step - exp(-iH dt)||_2 of one Trotter step, from the sector
     spectra of `chain_spectrum`. Both unitaries commute with the spin flip,
     so it is the larger norm of the two sector blocks of their difference.

@@ -47,7 +47,7 @@ def init_basis_state(n_qubits: int, bits: Sequence[int]) -> np.ndarray:
 
 def all_down_state(n_qubits: int) -> np.ndarray:
     """All spins down: every <sigma_z> = -1."""
-    return init_basis_state(n_qubits, [1] * n_qubits)
+    return init_basis_state(n_qubits, [1] * check_integer("n_qubits", n_qubits, 1))
 
 
 def execute(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
@@ -68,19 +68,21 @@ def sample_bitstrings(amps: np.ndarray, shots: int, rng_seed) -> np.ndarray:
     """Draw `shots` independent full-register measurements from |amp|^2 of
     one state (2^n,) or of each column of a (2^n, B) block.
 
-    Deterministic for a fixed `rng_seed` (any numpy SeedSequence entropy):
-    every column draws from the same stream, the one a single state with
-    that seed draws from. Returns int64 counts per bitstring, shape (2^n,)
-    or (B, 2^n), indexed by basis index: bit j of the index is the outcome
-    of qubit j.
+    Deterministic for a fixed `rng_seed`, an int >= 0 or a tuple or list of
+    them (numpy SeedSequence entropy): every column draws from the same
+    stream, the one a single state with that seed draws from. Returns int64
+    counts per bitstring, shape (2^n,) or (B, 2^n), indexed by basis index:
+    bit j of the index is the outcome of qubit j.
     """
     shots = check_integer("shots", shots, 1)
+    seed = rng_seed if isinstance(rng_seed, (tuple, list)) else [rng_seed]
+    seed = [check_integer("rng_seed", v, 0) for v in seed]  # [s] seeds as s does
     probs = kernels.probability_rows(amps)
     rows = probs.reshape(-1, probs.shape[-1])
     totals = rows.sum(axis=1)
     if np.any(np.abs(totals - 1.0) > 1e-9):
         raise ValueError("state is not normalized")
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(seed)
     start = rng.bit_generator.state
     counts = np.empty(rows.shape, dtype=np.int64)
     for row, p, total in zip(counts, rows, totals.tolist()):

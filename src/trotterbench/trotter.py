@@ -14,16 +14,10 @@ CNOT(a,b) RZ(b, theta_zz) CNOT(a,b).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 from .circuit import Circuit, check_integer, check_real
-
-
-class TrotterOrder(str, enum.Enum):
-    FIRST = "first"
-    SYMMETRIC = "sym2"
 
 
 @dataclass(frozen=True)
@@ -62,15 +56,15 @@ def chain_bonds(n_spins: int, periodic: bool = False) -> list[tuple[int, int]]:
     return bonds
 
 
-#: Each order's step as (layer, weight) rows in temporal order.
-_LAYERS = {
-    TrotterOrder.FIRST: (("x", 1), ("odd", 1), ("even", 1)),
-    TrotterOrder.SYMMETRIC: (("x", 0.5), ("odd", 0.5), ("even", 1), ("odd", 0.5), ("x", 0.5)),
+#: Each order's step as (layer, weight) rows in temporal order, by name.
+LAYERS = {
+    "first": (("x", 1), ("odd", 1), ("even", 1)),
+    "sym2": (("x", 0.5), ("odd", 0.5), ("even", 1), ("odd", 0.5), ("x", 0.5)),
 }
 
 
 def _step(params: TfimParams, layers) -> Circuit:
-    """One Trotter step of `layers`, (layer, weight) rows as in `_LAYERS`.
+    """One Trotter step of `layers`, (layer, weight) rows as in `LAYERS`.
     A layer already emitted in this step runs in reverse gate order. A
     weight may be negative: it scales the angles, never `params.dt`."""
     n = params.n_spins
@@ -95,7 +89,7 @@ def _step(params: TfimParams, layers) -> Circuit:
 
 def first_order_step(params: TfimParams) -> Circuit:
     """One first-order Trotter step: X layer, then odd bonds, then even bonds."""
-    return _step(params, _LAYERS[TrotterOrder.FIRST])
+    return _step(params, LAYERS["first"])
 
 
 def symmetric_step(params: TfimParams) -> Circuit:
@@ -103,15 +97,15 @@ def symmetric_step(params: TfimParams) -> Circuit:
     trailing half layers in mirrored gate order. Gates within a layer
     commute, so the unitary is unchanged and the gate list reads the same
     forwards and backwards whenever the middle layer has at most one bond."""
-    return _step(params, _LAYERS[TrotterOrder.SYMMETRIC])
+    return _step(params, LAYERS["sym2"])
 
 
-def build_evolution_circuit(params: TfimParams, n_steps: int, order: TrotterOrder) -> Circuit:
-    """Repeat the chosen step `n_steps` times; no cross-step layer fusion,
-    so the state at every step mark is exactly the per-step measured state."""
+def build_evolution_circuit(params: TfimParams, n_steps: int, order: str) -> Circuit:
+    """Repeat the step `LAYERS[order]` `n_steps` times; no cross-step layer
+    fusion, so the state at every step mark is exactly the per-step state."""
     n_steps = check_integer("n_steps", n_steps, 1)
     try:
-        layers = _LAYERS[order]
+        layers = LAYERS[order]
     except (KeyError, TypeError):  # an unhashable order raises TypeError
         raise ValueError(f"unknown Trotter order {order!r}") from None
     step = _step(params, layers)

@@ -11,7 +11,6 @@ from trotterbench import (
     NoiseParams,
     RunConfig,
     TfimParams,
-    TrotterOrder,
     build_evolution_circuit,
     circuit_unitary,
     execute,

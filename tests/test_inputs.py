@@ -1,8 +1,10 @@
 """Every scalar input of the library follows one of two rules,
 `circuit.check_integer` and `circuit.check_real`: each entry point refuses
 a wrong type or a non-finite real by the input's name and stores numpy
-scalars as Python `int` and `float`. A source scan keeps the range and
-finiteness checks of scalar inputs in those two helpers."""
+scalars as Python `int` and `float`. Source scans keep the range and
+finiteness checks of scalar inputs in those two helpers, and the seeding
+of every sampled stream in `statevector.sample_bitstrings`. Shot counts
+are refused unless they are counts, and the Trotter orders have one list."""
 
 import ast
 import math
@@ -22,12 +24,15 @@ from trotterbench import (
     build_evolution_circuit,
     compare_command,
     init_basis_state,
+    local_magnetization_from_counts,
     noisy_execute,
     sample_bitstrings,
     scaling_command,
     sweep_command,
 )
+from trotterbench.cli import build_parser
 from trotterbench.noise import _seed_words
+from trotterbench.trotter import LAYERS
 
 _SMALL = RunConfig(n=2, steps=1)
 
@@ -51,11 +56,16 @@ INTEGER_INPUTS = [
     ("Circuit.cnot", "target", lambda v: Circuit(2).cnot(0, v).qb[0], 1),
     ("init_basis_state", "n_qubits", lambda v: _nothing_stored(init_basis_state(v, [1, 0])), 2),
     ("init_basis_state", "bits", lambda v: _nothing_stored(init_basis_state(2, [v, 0])), 1),
+    ("all_down_state", "n_qubits", lambda v: _nothing_stored(all_down_state(v)), 2),
     ("TfimParams", "n_spins", lambda v: TfimParams(v).n_spins, 3),
     ("build_evolution_circuit", "n_steps",
      lambda v: _nothing_stored(build_evolution_circuit(TfimParams(2), v, "first")), 2),
     ("sample_bitstrings", "shots",
      lambda v: _nothing_stored(sample_bitstrings(all_down_state(1), v, 0)), 4),
+    ("sample_bitstrings", "rng_seed",
+     lambda v: _nothing_stored(sample_bitstrings(all_down_state(1), 4, v)), 5),
+    ("sample_bitstrings[(seed, k)]", "rng_seed",
+     lambda v: _nothing_stored(sample_bitstrings(all_down_state(1), 4, (1, v))), 5),
     ("noisy_execute", "trajectories", lambda v: _noisy(trajectories=v), 2),
     ("noisy_execute", "rng_seed", lambda v: _noisy(rng_seed=v), 5),
     ("noise._seed_words", "seed", lambda v: _nothing_stored(_seed_words(v, range(2))), 5),
@@ -134,6 +144,31 @@ class TestConfigIntegerKeys:
         assert type(stored) is int and stored == 4
 
 
+@pytest.mark.parametrize("seed", [-1, (1, -1), [0, -1]])
+def test_negative_sample_seed_is_refused_by_name(seed):
+    _refused(lambda v: sample_bitstrings(all_down_state(1), 4, v), seed,
+             "rng_seed must be >= 0, got -1")
+
+
+def test_sample_seed_sequence_reads_as_its_integers():
+    """A tuple or list of numpy integers seeds the stream its ints seed."""
+    state = np.full(8, 8**-0.5, dtype=np.complex128)
+    want = sample_bitstrings(state, 64, (3, 5))
+    for seed in ([3, 5], (np.int64(3), np.int32(5))):
+        assert np.array_equal(sample_bitstrings(state, 64, seed), want)
+
+
+@pytest.mark.parametrize("counts, message", [
+    ([-1, 3, 0, 0], "counts must not be negative, got -1"),
+    ([[2, 0], [1, -2]], "counts must not be negative, got -2"),
+    ([1.5, 0, 0, 0.5], "counts must be integers, got dtype float64"),
+    (np.array([4.0, 0.0]), "counts must be integers, got dtype float64"),
+    ([True, False], "counts must be integers, got dtype bool"),
+])
+def test_counts_are_refused_unless_counts(counts, message):
+    _refused(local_magnetization_from_counts, counts, message)
+
+
 def test_float32_angle_is_built_from_the_stored_float():
     """A float32 dt and g give the angles of the float64 values they equal."""
     params = TfimParams(3, field=np.float32(1.3), dt=np.float32(0.1))
@@ -183,3 +218,30 @@ def test_scalar_bounds_are_checked_only_by_the_two_helpers():
     # the scan sees the helpers' own raises, so it would see a copy elsewhere
     assert {("circuit.py", "check_integer"), ("circuit.py", "check_real")} <= found
     assert {(m, f) for m, f in found if m != "circuit.py"} - EXEMPT == set()
+
+
+def _default_rng_calls(path: Path) -> bool:
+    """Whether `path` calls a function named `default_rng`."""
+    return any(isinstance(node, ast.Call)
+               and getattr(node.func, "attr", getattr(node.func, "id", None)) == "default_rng"
+               for node in ast.walk(ast.parse(path.read_text())))
+
+
+def test_only_the_sampler_seeds_a_numpy_generator():
+    """`sample_bitstrings` checks its seed before `np.random.default_rng`;
+    noise streams are built from `noise._seed_words`, which checks its own."""
+    assert [m.name for m in sorted(SOURCE.glob("*.py")) if _default_rng_calls(m)] == [
+        "statevector.py"]
+
+
+# ---------------------------------------------------------- one order list
+
+def test_order_choices_are_the_layer_table():
+    """The CLI's `--order` of every command and `RunConfig`'s `order` offer
+    exactly the orders `trotter.LAYERS` builds, in its order."""
+    commands = build_parser()._subparsers._group_actions[0].choices
+    cli = {name: tuple(sub._option_string_actions["--order"].choices)
+           for name, sub in commands.items()}
+    config = RunConfig.__dataclass_fields__["order"].metadata["choices"]
+    assert len(cli) == 4
+    assert set(cli.values()) == {config} == {tuple(LAYERS)}

@@ -7,7 +7,6 @@ from trotterbench import (
     NoiseParams,
     RunConfig,
     TfimParams,
-    TrotterOrder,
     all_down_state,
     build_evolution_circuit,
     init_basis_state,
@@ -51,7 +50,7 @@ class TestNoiseParams:
 class TestNoisyExecute:
     def test_zero_noise_equals_ideal_bit_exact(self):
         params = TfimParams(n_spins=5, field=1.0, dt=0.2)
-        circ = build_evolution_circuit(params, 10, TrotterOrder.SYMMETRIC)
+        circ = build_evolution_circuit(params, 10, "sym2")
         noisy = noisy_execute(circ, all_down_state(5), NoiseParams(), 3, 42)
         kinds, qa, qb, theta, marks = encode(circ)
         ideal = np.empty((len(marks), 5))
@@ -60,7 +59,7 @@ class TestNoisyExecute:
 
     def test_determinism(self):
         params = TfimParams(n_spins=4, field=1.0)
-        circ = build_evolution_circuit(params, 5, TrotterOrder.FIRST)
+        circ = build_evolution_circuit(params, 5, "first")
         noise = NoiseParams(p1=0.01, p2=0.05)
         a = noisy_execute(circ, all_down_state(4), noise, 20, 7)
         b = noisy_execute(circ, all_down_state(4), noise, 20, 7)
@@ -119,7 +118,7 @@ class TestNoisyExecute:
         # rows, or a block that drops or repeats a trajectory moves the mean
         # far beyond 1e-12
         params = TfimParams(n_spins=3, field=1.5, dt=0.3, periodic=True)
-        circ = build_evolution_circuit(params, 3, TrotterOrder.SYMMETRIC)
+        circ = build_evolution_circuit(params, 3, "sym2")
         noise = NoiseParams(p1=0.5, p2=0.5)
         trajectories, seed, n = TRAJECTORY_BLOCK + 3, 17, 3
         psi0 = all_down_state(n)
@@ -225,7 +224,7 @@ class TestNoisyExecute:
                 noisy_execute(circ, initial, noise, 4, 1)
 
     def test_initial_state_is_left_as_it_is(self):
-        circ = build_evolution_circuit(TfimParams(n_spins=3), 2, TrotterOrder.FIRST)
+        circ = build_evolution_circuit(TfimParams(n_spins=3), 2, "first")
         initial = all_down_state(3)
         for noise in (NoiseParams(), DEVICE_LIKE):
             noisy_execute(circ, initial, noise, 4, 1)
@@ -244,7 +243,7 @@ class TestNoisyExecute:
         table = kernels._pauli_table
         monkeypatch.setattr(kernels, "_pauli_table", counted)
         params = TfimParams(n_spins=10, field=2.0, periodic=periodic)
-        circ = build_evolution_circuit(params, 3, TrotterOrder.FIRST)
+        circ = build_evolution_circuit(params, 3, "first")
         noisy_execute(circ, all_down_state(10), NoiseParams(p1=0.05, p2=0.2), 64, 3)
         assert len(set(calls)) == (40 if periodic else 37)
         assert len(calls) == len(set(calls))
@@ -272,7 +271,7 @@ class TestFaultStreams:
         if n_gates == 1:
             kinds = np.array([2], dtype=np.int8)
         else:
-            order = TrotterOrder.FIRST if n_gates == 340 else TrotterOrder.SYMMETRIC
+            order = "first" if n_gates == 340 else "sym2"
             circ = build_evolution_circuit(TfimParams(n_spins=5, field=2.0), 20, order)
             kinds = encode(circ)[0]
         assert len(kinds) == n_gates
@@ -337,7 +336,7 @@ class TestChannelProperties:
 
     def test_trajectory_average_converges_as_inverse_sqrt(self):
         params = TfimParams(n_spins=5, field=1.0, dt=0.2)
-        circ = build_evolution_circuit(params, 10, TrotterOrder.FIRST)
+        circ = build_evolution_circuit(params, 10, "first")
         noise = NoiseParams(p1=0.01, p2=0.05)
         sizes = (25, 100, 400)
         spreads = []

@@ -78,9 +78,19 @@ class TestLocalFromCounts:
                 local_magnetization_from_counts(counts)
 
     def test_counts_not_one_per_basis_state(self):
-        for shape in (1, 6, (2, 4)):
+        for shape in (1, 6, (2, 3), (2, 2, 4)):
             with pytest.raises(ValueError):
                 local_magnetization_from_counts(np.ones(shape, dtype=np.int64))
+
+    @pytest.mark.parametrize("n", [3, 5, 10, 12])
+    def test_block_reads_as_its_rows_bit_for_bit(self, n):
+        # a (G, 2^n) block of counts, as sample_bitstrings draws for a
+        # (2^n, G) block of states, reads in one call as row by row
+        rng = np.random.default_rng(n)
+        raw = rng.standard_normal((2**n, 3)) + 1j * rng.standard_normal((2**n, 3))
+        counts = sample_bitstrings(raw / np.linalg.norm(raw, axis=0), 1024, (2, n))
+        rows = [local_magnetization_from_counts(row) for row in counts]
+        assert np.array_equal(local_magnetization_from_counts(counts), rows)
 
     def test_unbiased_over_seeds(self):
         # mean of the shot estimator over 200 seeds stays within 3 standard

@@ -27,7 +27,7 @@ from trotterbench import (
 )
 from trotterbench.cli import build_parser, merge_config
 from trotterbench.runner import MODE_KEYS, MODES
-from trotterbench.trotter import TrotterOrder
+from trotterbench.trotter import LAYERS
 
 from oracles import naive_circuit_unitary
 
@@ -35,7 +35,7 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=N
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 rate = st.floats(min_value=0.0, max_value=1.0)
-orders = st.sampled_from([o.value for o in TrotterOrder])
+orders = st.sampled_from(tuple(LAYERS))
 # an explicit alphabet needs no Unicode table, which hypothesis would build
 # on first use (seconds) and cache on disk
 paths = st.text(alphabet=string.printable + "é€")
@@ -142,8 +142,8 @@ def test_periodic_sites_are_uniform(n, j, g, dt, steps, order):
 @given(n=st.integers(2, 8), periodic=st.booleans(), j=chains["j"], dt=chains["dt"],
        steps=chains["steps"])
 def test_zero_field_keeps_every_spin_down(n, j, dt, steps, periodic):
-    for order in TrotterOrder:
-        local = ideal_series(n, j, 0.0, dt, steps, order.value, periodic)
+    for order in LAYERS:
+        local = ideal_series(n, j, 0.0, dt, steps, order, periodic)
         np.testing.assert_allclose(local, -1.0, rtol=0, atol=1e-12)
 
 

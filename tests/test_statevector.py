@@ -20,7 +20,6 @@ from trotterbench.kernels import z_signs
 from trotterbench.circuit import Circuit
 from trotterbench.exact import build_hamiltonian, spectrum
 from trotterbench.statevector import z_expectations
-from trotterbench.trotter import TrotterOrder
 
 
 def apply_one(state, gate, *args):
@@ -117,7 +116,7 @@ class TestApplyGate:
             execute(Circuit(2).cnot(0, 1), np.zeros(shape, dtype=np.complex128))
 
     def test_block_runs_every_column(self):
-        circ = build_evolution_circuit(TfimParams(n_spins=3), 2, TrotterOrder.SYMMETRIC)
+        circ = build_evolution_circuit(TfimParams(n_spins=3), 2, "sym2")
         rng = np.random.default_rng(5)
         block = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
         columns = [execute(circ, block[:, c].copy()) for c in range(3)]
@@ -250,7 +249,7 @@ class TestSampling:
         # empirical per-bit frequency within 5 binomial sigma for >= 99% of
         # (seed, bit) pairs at 1024 shots
         params = TfimParams(n_spins=5)
-        circ = build_evolution_circuit(params, 7, TrotterOrder.FIRST)
+        circ = build_evolution_circuit(params, 7, "first")
         state = all_down_state(5)
         execute(circ, state)
         exact = z_expectations(state)
@@ -296,7 +295,7 @@ class TestFidelity:
     def test_commuting_limit_trotter_equals_exact(self):
         # at zero transverse field every term commutes: no Trotter error
         params = TfimParams(n_spins=4, coupling=1.0, field=0.0, dt=0.3)
-        circ = build_evolution_circuit(params, 5, TrotterOrder.FIRST)
+        circ = build_evolution_circuit(params, 5, "first")
         state = all_down_state(4)
         execute(circ, state)
         h = build_hamiltonian(params)
