@@ -196,7 +196,8 @@ def _simulate_local(configs: list[RunConfig], circuits: list[Circuit]) -> np.nda
     """Per-step local magnetization of each config's evolution circuit in
     the configured mode, shape (configs, steps + 1, n). The configs differ
     only in g. Ideal and shots mode evolve them as the columns of one
-    (2^n, G) block; noisy mode runs one trajectory block per config."""
+    (2^n, G) block; noisy mode runs each trajectory block once per config,
+    with the block's faults drawn once for all of them."""
     base = configs[0]
     n = base.n
     local = np.empty((len(configs), base.steps + 1, n), dtype=np.float64)
@@ -204,11 +205,9 @@ def _simulate_local(configs: list[RunConfig], circuits: list[Circuit]) -> np.nda
 
     if base.mode == "noisy":
         # trajectory-averaged expectations, then the readout map
-        for run, config, circuit in zip(local, configs, circuits):
-            run[0] = z_expectations(state)
-            run[1:] = noisy_execute(circuit, state, config.noise, config.traj, config.seed)
-            run[...] = apply_readout_to_expectations(run, config.noise)
-        return local
+        local[:, 0] = z_expectations(state)
+        local[:, 1:] = noisy_execute(circuits, state, base.noise, base.traj, base.seed)
+        return apply_readout_to_expectations(local, base.noise)
 
     encoded = [encode(circuit) for circuit in circuits]
     kinds, qa, qb, _, marks = encoded[0]

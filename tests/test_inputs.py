@@ -220,17 +220,31 @@ def test_scalar_bounds_are_checked_only_by_the_two_helpers():
     assert {(m, f) for m, f in found if m != "circuit.py"} - EXEMPT == set()
 
 
-def _default_rng_calls(path: Path) -> bool:
-    """Whether `path` calls a function named `default_rng`."""
-    return any(isinstance(node, ast.Call)
-               and getattr(node.func, "attr", getattr(node.func, "id", None)) == "default_rng"
-               for node in ast.walk(ast.parse(path.read_text())))
+def _names_numpy_random(path: Path) -> bool:
+    """Whether `path` names `np.random` or `numpy.random`, imports from it,
+    or calls a function named `default_rng`."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        elif isinstance(node, ast.Call):
+            names = [getattr(node.func, "attr", getattr(node.func, "id", None))]
+        else:
+            continue
+        if any(name in ("np.random", "numpy.random", "default_rng")
+               or str(name).startswith("numpy.random.") for name in names):
+            return True
+    return False
 
 
 def test_only_the_sampler_seeds_a_numpy_generator():
-    """`sample_bitstrings` checks its seed before `np.random.default_rng`;
-    noise streams are built from `noise._seed_words`, which checks its own."""
-    assert [m.name for m in sorted(SOURCE.glob("*.py")) if _default_rng_calls(m)] == [
+    """`sample_bitstrings` checks its seed before `np.random.default_rng`,
+    and it is the only user of numpy.random: noise streams are computed from
+    `noise._seed_words`, which checks its own seed, without it."""
+    assert [m.name for m in sorted(SOURCE.glob("*.py")) if _names_numpy_random(m)] == [
         "statevector.py"]
 
 

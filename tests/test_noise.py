@@ -14,6 +14,7 @@ from trotterbench import (
     run_command,
 )
 from trotterbench.circuit import KIND_CNOT, Circuit, encode
+from trotterbench.cli import main
 from trotterbench.kernels import run_gates_noisy, run_gates_record
 from trotterbench import kernels
 from trotterbench import noise as noise_module
@@ -248,6 +249,42 @@ class TestNoisyExecute:
         assert len(set(calls)) == (40 if periodic else 37)
         assert len(calls) == len(set(calls))
 
+    @pytest.mark.parametrize("noise", [NoiseParams(), DEVICE_LIKE], ids=["zero", "device"])
+    def test_g_block_equals_one_call_per_circuit(self, noise):
+        circuits = [build_evolution_circuit(TfimParams(n_spins=4, field=g), 5, "sym2")
+                    for g in (0.5, 1.5, 2.5)]
+        together = noisy_execute(circuits, all_down_state(4), noise, 300, 9)
+        assert together.shape == (3, 5, 4)
+        for got, circ in zip(together, circuits):
+            alone = noisy_execute(circ, all_down_state(4), noise, 300, 9)
+            assert got.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("other", [
+        build_evolution_circuit(TfimParams(n_spins=3), 2, "sym2"),
+        build_evolution_circuit(TfimParams(n_spins=3), 3, "first"),
+        build_evolution_circuit(TfimParams(n_spins=4), 2, "first"),
+    ], ids=["order", "steps", "width"])
+    def test_circuits_with_other_gate_lists_are_refused(self, other):
+        circ = build_evolution_circuit(TfimParams(n_spins=3), 2, "first")
+        with pytest.raises(ValueError, match="one gate list"):
+            noisy_execute([circ, other], all_down_state(3), DEVICE_LIKE, 4, 1)
+        with pytest.raises(ValueError, match="nonempty"):
+            noisy_execute([], all_down_state(3), DEVICE_LIKE, 4, 1)
+
+    def test_noisy_compare_draws_each_block_once_for_every_g(self, tmp_path, monkeypatch):
+        # 300 trajectories are 2 blocks; compare runs 2 orders, each a block of 3 g
+        calls = []
+
+        def counted(*args):
+            calls.append(args[3])
+            return draw(*args)
+
+        draw = noise_module._fault_codes
+        monkeypatch.setattr(noise_module, "_fault_codes", counted)
+        assert main(["compare", "--g-list", "1,2,3", "--mode", "noisy", "--traj", "300",
+                     "--out", str(tmp_path)]) == 0
+        assert calls == [range(0, 256), range(256, 300)] * 2
+
 
 class TestFaultStreams:
     """Every block's fault codes are those of the per-trajectory streams
@@ -266,14 +303,16 @@ class TestFaultStreams:
 
     @pytest.mark.parametrize("noise", [NoiseParams(), DEVICE_LIKE, NoiseParams(p1=1.0, p2=1.0)],
                              ids=["zero", "device", "one"])
-    @pytest.mark.parametrize("n_gates", [1, 340, 560])
+    @pytest.mark.parametrize("n_gates", [1, 2, 3, 340, 513, 560])
     def test_codes_equal_per_trajectory_streams(self, noise, n_gates):
-        if n_gates == 1:
-            kinds = np.array([2], dtype=np.int8)
-        else:
+        # at p = 1 every gate draws a choice; 2, 3 and 513 = 2^9 + 1 states
+        # end in a truncated doubling round
+        if n_gates in (340, 560):
             order = "first" if n_gates == 340 else "sym2"
             circ = build_evolution_circuit(TfimParams(n_spins=5, field=2.0), 20, order)
             kinds = encode(circ)[0]
+        else:
+            kinds = np.resize(np.array([2, 0, 1], dtype=np.int8), n_gates)
         assert len(kinds) == n_gates
         for seed, block in ((3, range(0, 256)), (2**70, range(256, 300))):
             got = _fault_codes(kinds, noise, seed, block)

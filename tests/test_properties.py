@@ -1,8 +1,8 @@
 """Property tests: the run config survives the config-file path, chain and
 noise parameters that compare equal hash equal, the ideal Trotter series
-keeps the chain's symmetries and the g=0 limit, and every step circuit's
+keeps the chain's symmetries and the g=0 limit, every step circuit's
 dense unitary is unitary and equals the product of its Kronecker-built gate
-matrices.
+matrices, and noisy mode's fault streams are numpy's PCG64 draws.
 
 Examples are derandomized with a fixed count, so every run checks the same
 cases and the suite stays deterministic.
@@ -26,6 +26,7 @@ from trotterbench import (
     symmetric_step,
 )
 from trotterbench.cli import build_parser, merge_config
+from trotterbench.noise import _draw_bits, _draw_states, _pcg_seed, _seed_words
 from trotterbench.runner import MODE_KEYS, MODES
 from trotterbench.trotter import LAYERS
 
@@ -156,3 +157,25 @@ def test_step_unitary_is_the_dense_gate_product(n, periodic, j, g, dt):
         u = circuit_unitary(circ)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(1 << n), rtol=0, atol=1e-12)
         np.testing.assert_allclose(u, naive_circuit_unitary(circ), rtol=0, atol=1e-12)
+
+
+# the last doubling round of k draws is truncated unless k is a power of 2
+draw_counts = st.integers(1, 1200) | st.sampled_from(
+    [2**m + d for m in range(1, 11) for d in (-1, 1)])
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**130),
+       first=st.integers(0, 20) | st.integers(2**32 - 20, 2**32 - 3),
+       k=draw_counts)
+def test_fault_streams_are_numpy_pcg64_draws(seed, first, k):
+    """The first k doubles of each trajectory's stream, from the state array
+    `noise._fault_codes` reads, are numpy's `Generator.random(k)`, bitwise."""
+    block = range(first, first + 3)
+    start, inc = _pcg_seed(_seed_words(seed, block))
+    states = np.empty((2, k, len(block)), dtype=np.uint64)
+    _draw_states(start, inc, states, np.empty((3, (k + 1) // 2, len(block)), dtype=np.uint64))
+    got = _draw_bits(states) * 2.0**-53
+    for column, t in enumerate(block):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, t))))
+        assert got[:, column].tobytes() == rng.random(k).tobytes()

@@ -16,6 +16,8 @@ def test_library_example_runs():
     assert namespace["result"].config.out is None  # it writes no files
     assert namespace["amps"].shape == (32,)
     assert namespace["counts"].sum() == 1024
+    assert namespace["noisy"].shape == (20, 5)
+    assert namespace["both"][0].tobytes() == namespace["noisy"].tobytes()
     ising = namespace["ising"]
     assert (ising.kinds, ising.qa, ising.qb, ising.theta, ising.step_marks) == (
         [0, 2, 1, 2], [0, 0, 1, 0], [-1, 1, -1, 1], [0.3, 0.0, -0.4, 0.0], [4])

@@ -669,8 +669,8 @@ def test_active_backend_is_the_numpy_engine():
 
 def test_cli_setup_imports_only_stdlib_numpy_and_the_package():
     # every module a CLI process imports before its command runs adds to
-    # setup_s; numpy.random (15-21 ms, 6 MB of RSS) waits for the first
-    # shots or noisy draw, and scipy, though installed, is never imported
+    # setup_s; numpy.random (10-21 ms, 6 MB of RSS) waits for the first
+    # shots draw, and scipy, though installed, is never imported
     src = Path(trotterbench.__file__).resolve().parents[1]
     code = ("import sys\n"
             "before = set(sys.modules)\n"
@@ -686,6 +686,31 @@ def test_cli_setup_imports_only_stdlib_numpy_and_the_package():
     roots = {name.partition(".")[0] for name in added}
     assert roots - sys.stdlib_module_names == {"numpy", "trotterbench"}
     assert [name for name in added if name.startswith("numpy.random")] == []
+
+
+@pytest.mark.parametrize("mode, imported", [("noisy", False), ("shots", True)])
+def test_only_shots_mode_imports_numpy_random(tmp_path, mode, imported):
+    # noisy mode computes numpy's PCG64 streams itself, so numpy.random and
+    # the OpenSSL modules its SeedSequence pulls in through `secrets` stay
+    # out; shots mode still samples with Generator.multinomial
+    src = Path(trotterbench.__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "import trotterbench.cli\n"
+            f"assert trotterbench.cli.main(['run', '--n', '3', '--steps', '2', '--mode', '{mode}',"
+            f" '--seed', '1', '--out', {str(tmp_path)!r}]) == 0\n"
+            "print(*sorted(sys.modules))\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.splitlines()[-1].split()
+    assert "trotterbench.noise" in loaded
+    guarded = [name for name in loaded
+               if name.startswith("numpy.random") or name in ("secrets", "hmac", "_hashlib")]
+    if imported:
+        assert "numpy.random" in guarded
+    else:
+        assert guarded == []
 
 
 def test_all_lists_exactly_the_public_names_init_binds():
