@@ -3,15 +3,15 @@
 Amplitudes are a C-contiguous complex array of shape (2^n, B), one state per
 column, or (2^n,) for a single state. The columns of a block are one of two
 things. Independent runs: the g values of a `sweep` or `compare` in ideal
-and shots mode (one column for a single run), each with its own RX angles
-and each read out alone, because BLAS rounds a B-row <Z> product
-differently from the 1-row product of a single run. Trajectories: the B
-trajectories of noisy mode, read out with one product. The 2^n basis
-states of `circuit.circuit_unitary` are a block too. A gate on qubit q acts
-on the reshape view (2^n >> (q+1), 2, 2^q, B), whose axis 1 is bit q of the
-basis index, so every view has a contiguous inner run of at least B
-amplitudes and no rotation or CNOT builds index arrays. All kernels mutate
-the amplitudes in place.
+and shots mode (one column for a single run), each with its own RX angles.
+Trajectories: the B trajectories of noisy mode. The 2^n basis states of
+`circuit.circuit_unitary` are a block too. Every kernel and the <Z> readout
+(`_z`: pair sums, no BLAS product) are elementwise over the columns, so a
+column's bits do not depend on its block. A gate on qubit q acts on the
+reshape view (2^n >> (q+1), 2, 2^q, B), whose axis 1 is bit q of the basis
+index, so every view has a contiguous inner run of at least B amplitudes
+and no rotation or CNOT builds index arrays. All kernels mutate the
+amplitudes in place.
 
 Each Ising bond CNOT(a,b) RZ(b,theta) CNOT(a,b) runs as one multiply by a
 cached (2^n,) diagonal: exp(-i theta/2) where bits a and b agree and
@@ -87,21 +87,36 @@ def _rx_factors(theta):
     return c, -1j * s
 
 
+#: Amplitudes an RX updates per pass (16 MB): a larger block, such as the
+#: 2^n columns of `circuit.circuit_unitary`, runs in contiguous slices, so
+#: that its partner temporary stays this small.
+_RX_AMPLITUDES = 1 << 20
+
+
 def _rx(amps, q, factors):
     """RX by `_rx_factors` (scalars for every column, or (B,) arrays with
     one angle per column) in partner form: each amplitude becomes
     c * itself + (-i s) * its partner across bit q."""
     c, minus_i_s = factors
-    v = _pair(amps, q)
-    partner = minus_i_s * v[:, ::-1]
-    v *= c
-    v += partner
+    pair = _pair(amps, q)
+    outer, _, inner, width = pair.shape
+    # slices of the outer axis, and of the inner one where a single outer
+    # index holds more than _RX_AMPLITUDES
+    step_in = min(inner, max(1, _RX_AMPLITUDES // (2 * width)))
+    step_out = max(1, _RX_AMPLITUDES // (2 * step_in * width))
+    for a in range(0, outer, step_out):
+        for b in range(0, inner, step_in):
+            v = pair[a:a + step_out, :, b:b + step_in]
+            partner = minus_i_s * v[:, ::-1]
+            v *= c
+            v += partner
 
 
 def _rz(amps, q, theta):
+    """RZ as one multiply by both factors: numpy rounds a complex product in
+    a loop of one element (a lone column at n = 1) unlike in a longer one."""
     v = _pair(amps, q)
-    v[:, 0] *= np.exp(-0.5j * theta)
-    v[:, 1] *= np.exp(0.5j * theta)
+    v *= np.array([np.exp(-0.5j * theta), np.exp(0.5j * theta)])[:, None, None]
 
 
 def _cnot(amps, control, target):
@@ -205,20 +220,26 @@ def z_signs(n_qubits):
     return signs
 
 
-def probability_rows(amps):
-    """|amp|^2 of one state (2^n,), or of each column of a (2^n, B) block
-    as the rows of a C-contiguous (B, 2^n) copy: the rows the sampler
-    reads, and the operand of every <Z> product `rows @ z_signs(n)`,
-    because OpenBLAS rounds a product with a transposed operand
-    differently at some sizes (n = 4, 9 and 10 among them)."""
-    return np.ascontiguousarray((amps.real * amps.real + amps.imag * amps.imag).T)
+def _z(batch):
+    """(B, n) <sigma_z> of each column of a (2^n, B) block. For each bit from
+    the top down: the bit-0 half minus the bit-1 half of the probabilities,
+    summed by halving (d = d[:h] + d[h:]); the two halves are then added to
+    sum over that bit. Row 0 of `sums` holds the probabilities summed so
+    far, the rows below it the halvings in flight."""
+    sums = (batch.real * batch.real + batch.imag * batch.imag)[None]
+    for q in range(batch.shape[0].bit_length() - 1):
+        h = sums.shape[1] // 2
+        halved = np.empty((q + 2, h, batch.shape[1]))
+        np.add(sums[:, :h], sums[:, h:], out=halved[:-1])
+        np.subtract(sums[0, :h], sums[0, h:], out=halved[-1])
+        sums = halved
+    return sums[:0:-1, 0].T
 
 
-def _run(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out):
+def _run(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out, tables=None):
     """Apply every gate (and its faults) to all columns; after the gates up
-    to each step mark, write per-column <sigma_z> into out[..., mark index, :]:
-    column by column without faults (independent runs), with one product
-    with faults (trajectories)."""
+    to each step mark, write per-column <sigma_z> into out[..., mark index, :].
+    `tables` is a cached `_pauli_table`, by default one for this call."""
     batch = _batch(amps)
     kinds, qa, qb = kinds.tolist(), qa.tolist(), qb.tolist()
     theta = _angles(kinds, np.asarray(theta, dtype=np.float64), batch.shape[1])
@@ -229,9 +250,10 @@ def _run(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out):
         codes, col = faults[gate, col].tolist(), col.tolist()
         first = np.searchsorted(gate, np.arange(len(kinds) + 1)).tolist()
 
-    # each table is built once per call, on its first fault: 384 bytes per
-    # basis state, 4N tables on a periodic chain of N spins (75 MB at N = 12)
-    tables = functools.cache(_pauli_table)
+    # each table is built once, on its first fault: 384 bytes per basis
+    # state, 4N tables on a periodic chain of N spins (75 MB at N = 12)
+    if tables is None:
+        tables = functools.cache(_pauli_table)
 
     def apply_faults(i, conj=None):
         if first[i] == first[i + 1]:
@@ -241,7 +263,6 @@ def _run(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out):
             column = batch[:, col[e]]
             np.multiply(phase[codes[e]], column[src[codes[e]]], out=column)
 
-    signs = z_signs(n_qubits) if len(marks) else None
     start = 0
     for k, stop in enumerate([*marks, len(kinds)]):
         i = start
@@ -258,11 +279,7 @@ def _run(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out):
                 apply_faults(i)
                 i += 1
         if k < len(marks):
-            if faults is None:
-                for c, run in enumerate(out if out.ndim == 3 else out[None]):
-                    run[k] = probability_rows(batch[:, c:c + 1]) @ signs
-            else:
-                out[..., k, :] = probability_rows(batch) @ signs
+            out[..., k, :] = _z(batch)
         start = stop
 
 
@@ -273,21 +290,24 @@ def run_gates(amps, n_qubits, kinds, qa, qb, theta):
 
 
 def run_gates_record(amps, n_qubits, kinds, qa, qb, theta, marks, out):
-    """As `run_gates`, recording <sigma_z> of each column alone at the step
+    """As `run_gates`, recording <sigma_z> of each column at the step
     marks: `out` is (n_marks, n) for one state, (B, n_marks, n) for a
     (2^n, B) block."""
     _run(amps, n_qubits, kinds, qa, qb, theta, marks, None, out)
 
 
-def run_gates_noisy(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out):
+def run_gates_noisy(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out,
+                    tables=None):
     """As `run_gates_record` on a (2^n, B) block of trajectories, with the
-    Pauli faults given by the int8 codes `faults` of shape (n_gates, B) and
-    <sigma_z> read with one product for the whole block. `theta` is
-    (n_gates,)."""
-    _run(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out)
+    Pauli faults given by the int8 codes `faults` of shape (n_gates, B).
+    `theta` is (n_gates,). Calls that pass one `tables` share its tables."""
+    _run(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out, tables)
 
 
 def z_expectations(amps: np.ndarray, n_qubits: int) -> np.ndarray:
     """Per-qubit <sigma_z> of normalized amplitudes: shape (n,) for one
     state, (B, n) for a (2^n, B) batch."""
-    return probability_rows(amps) @ z_signs(n_qubits)
+    if basis_qubits(amps) != n_qubits:
+        raise ValueError(f"amplitudes of shape {amps.shape} are not of {n_qubits} qubits")
+    z = _z(amps.reshape(amps.shape[0], -1))
+    return z if amps.ndim == 2 else z[0]

@@ -83,18 +83,16 @@ def noisy_execute(
     `initial` (left unchanged) with independently drawn faults and records
     exact expectations at the step marks; the return value has shape
     (n_steps, n_qubits). Trajectory t draws from a stream seeded by
-    (rng_seed, t), so its faults and amplitudes do not depend on how
-    trajectories are batched. Its <Z> readout may differ in the last bit
-    with the size of its block, because BLAS picks its kernel by matrix
-    size: a block of one trajectory reads <Z> through another path than a
-    block of 256 at every n, and at n = 10 so do blocks of 2 and 44.
-    Trajectories run in blocks of TRAJECTORY_BLOCK and are summed in order.
+    (rng_seed, t), and the kernels treat every column alone, so its values
+    do not depend on how trajectories are batched. Trajectories run in
+    blocks of TRAJECTORY_BLOCK and are summed in order.
 
     `circuits` may also be a sequence of G circuits with one gate list that
     differ only in their angles, such as the g values of a sweep; the
     result then has shape (G, n_steps, n_qubits). Every circuit meets the
-    same faults, so each block's codes are drawn once for all of them, and
-    each circuit's values are those of its own call.
+    same faults, so each block's codes are drawn and its Pauli tables built
+    once for all of them, and each circuit's values are those of its own
+    call.
     """
     single = isinstance(circuits, Circuit)
     circuits = [circuits] if single else list(circuits)
@@ -122,10 +120,12 @@ def noisy_execute(
     for first in range(0, trajectories, TRAJECTORY_BLOCK):
         block = range(first, min(first + TRAJECTORY_BLOCK, trajectories))
         faults = _fault_codes(kinds, noise, rng_seed, block)
+        tables = functools.cache(kernels._pauli_table)
         out = np.empty((len(block), len(marks), n), dtype=np.float64)
         for total, (*_, theta, _) in zip(acc, encoded):
             amps = np.repeat(initial[:, None], len(block), axis=1)
-            kernels.run_gates_noisy(amps, n, kinds, qa, qb, theta, marks, faults, out)
+            kernels.run_gates_noisy(amps, n, kinds, qa, qb, theta, marks, faults, out,
+                                    tables)
             for row in out:  # one trajectory after another, as a running sum
                 total += row
     acc /= trajectories

@@ -18,15 +18,18 @@ from . import kernels
 from .circuit import Circuit, check_integer, encode
 
 
-def check_state(amps: np.ndarray, n_qubits: int, block: bool = True) -> None:
-    """Refuse `amps` unless it is a complex128 state of `n_qubits` qubits,
-    or a (2^n, B) block of them when `block`."""
+def check_state(amps: np.ndarray, n_qubits: int | None = None, block: bool = True) -> int:
+    """Refuse `amps` unless it is a complex128 state of `n_qubits` qubits
+    (of any n >= 1 when None), or a (2^n, B) block of them when `block`;
+    returns n."""
     if getattr(amps, "dtype", None) != np.complex128:
         raise ValueError("amplitudes must be a complex128 array, got "
                          f"{getattr(amps, 'dtype', type(amps).__name__)}")
-    if kernels.basis_qubits(amps, block=block) != n_qubits:
+    n = kernels.basis_qubits(amps, block=block)
+    if n_qubits is not None and n != n_qubits:
         raise ValueError(f"circuit and state widths differ: {n_qubits} qubits, "
                          f"amplitudes of shape {amps.shape}")
+    return n
 
 
 def init_basis_state(n_qubits: int, bits: Sequence[int]) -> np.ndarray:
@@ -74,14 +77,17 @@ def sample_bitstrings(amps: np.ndarray, shots: int, rng_seed) -> np.ndarray:
     counts per bitstring, shape (2^n,) or (B, 2^n), indexed by basis index:
     bit j of the index is the outcome of qubit j.
     """
+    check_state(amps)
     shots = check_integer("shots", shots, 1)
     seed = rng_seed if isinstance(rng_seed, (tuple, list)) else [rng_seed]
     seed = [check_integer("rng_seed", v, 0) for v in seed]  # [s] seeds as s does
-    probs = kernels.probability_rows(amps)
+    # |amp|^2 of each column as one C-contiguous row, summed pairwise
+    probs = np.ascontiguousarray((amps.real * amps.real + amps.imag * amps.imag).T)
     rows = probs.reshape(-1, probs.shape[-1])
     totals = rows.sum(axis=1)
-    if np.any(np.abs(totals - 1.0) > 1e-9):
-        raise ValueError("state is not normalized")
+    bad = totals[~(np.abs(totals - 1.0) <= 1e-9)]  # so that NaN is refused too
+    if bad.size:
+        raise ValueError(f"state is not normalized: |amp|^2 sums to {bad[0]}")
     rng = np.random.default_rng(seed)
     start = rng.bit_generator.state
     counts = np.empty(rows.shape, dtype=np.int64)

@@ -285,6 +285,29 @@ class TestNoisyExecute:
                      "--out", str(tmp_path)]) == 0
         assert calls == [range(0, 256), range(256, 300)] * 2
 
+    def test_noisy_sweep_builds_each_fault_table_once_for_every_g(self, tmp_path, monkeypatch):
+        # one block at N = 10 reads 36 distinct tables, which its 3 g share
+        calls = []
+
+        def counted(*key):
+            calls.append(key)
+            return table(*key)
+
+        table = kernels._pauli_table
+        monkeypatch.setattr(kernels, "_pauli_table", counted)
+        assert main(["sweep", "--n", "10", "--g-list", "1,2,3", "--mode", "noisy",
+                     "--traj", "256", "--steps", "5", "--out", str(tmp_path)]) == 0
+        assert len(calls) == len(set(calls)) == 36
+
+    def test_values_do_not_depend_on_the_trajectory_block(self, monkeypatch):
+        # every kernel, the <Z> readout too, treats each column alone
+        circ = build_evolution_circuit(TfimParams(n_spins=10, field=2.0), 3, "sym2")
+        values = set()
+        for block in (1, 2, 44, 256):
+            monkeypatch.setattr(noise_module, "TRAJECTORY_BLOCK", block)
+            values.add(noisy_execute(circ, all_down_state(10), DEVICE_LIKE, 256, 5).tobytes())
+        assert len(values) == 1
+
 
 class TestFaultStreams:
     """Every block's fault codes are those of the per-trajectory streams

@@ -2,7 +2,8 @@
 noise parameters that compare equal hash equal, the ideal Trotter series
 keeps the chain's symmetries and the g=0 limit, every step circuit's
 dense unitary is unitary and equals the product of its Kronecker-built gate
-matrices, and noisy mode's fault streams are numpy's PCG64 draws.
+matrices, every column of a block reads the <Z> bits it reads alone, and
+noisy mode's fault streams are numpy's PCG64 draws.
 
 Examples are derandomized with a fixed count, so every run checks the same
 cases and the suite stays deterministic.
@@ -17,6 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trotterbench import (
+    Circuit,
     NoiseParams,
     RunConfig,
     TfimParams,
@@ -25,6 +27,8 @@ from trotterbench import (
     run_command,
     symmetric_step,
 )
+from trotterbench import kernels
+from trotterbench.circuit import encode
 from trotterbench.cli import build_parser, merge_config
 from trotterbench.noise import _draw_bits, _draw_states, _pcg_seed, _seed_words
 from trotterbench.runner import MODE_KEYS, MODES
@@ -157,6 +161,39 @@ def test_step_unitary_is_the_dense_gate_product(n, periodic, j, g, dt):
         u = circuit_unitary(circ)
         np.testing.assert_allclose(u.conj().T @ u, np.eye(1 << n), rtol=0, atol=1e-12)
         np.testing.assert_allclose(u, naive_circuit_unitary(circ), rtol=0, atol=1e-12)
+
+
+def readout_circuit(n, angles):
+    """An RX on every qubit, a step mark, an Ising bond on every pair of
+    neighbours (fused by the engine) and an RZ, and a second mark."""
+    circ = Circuit(n)
+    for q, angle in enumerate(angles):
+        circ.rx(q, angle)
+    circ.mark_step()
+    for q, angle in enumerate(angles[1:]):
+        circ.cnot(q, q + 1).rz(q + 1, angle).cnot(q, q + 1)
+    return circ.rz(0, angles[0]).mark_step()
+
+
+@PROPERTY
+@given(n=st.integers(1, 12), columns=st.sampled_from([1, 2, 3, 44, 256]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=4, columns=44, seed=4)  # sizes at which a BLAS product of a block
+@example(n=10, columns=2, seed=10)  # rounds otherwise than one of a column
+@example(n=12, columns=256, seed=12)
+def test_every_column_reads_its_z_bits_alone(n, columns, seed):
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((2**n, columns)) + 1j * rng.standard_normal((2**n, columns))
+    kinds, qa, qb, theta, marks = encode(readout_circuit(n, rng.uniform(-3.0, 3.0, n)))
+    read = kernels.z_expectations(block, n)
+    recorded = np.empty((columns, len(marks), n))
+    kernels.run_gates_record(block.copy(), n, kinds, qa, qb, theta, marks, recorded)
+    for c in range(columns):
+        column = block[:, c].copy()
+        assert kernels.z_expectations(column, n).tobytes() == read[c].tobytes()
+        alone = np.empty((len(marks), n))
+        kernels.run_gates_record(column, n, kinds, qa, qb, theta, marks, alone)
+        assert alone.tobytes() == recorded[c].tobytes()
 
 
 # the last doubling round of k draws is truncated unless k is a power of 2

@@ -1,6 +1,8 @@
 """Statevector construction, gate application, expectations, and sampling."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from trotterbench import (
 )
 from trotterbench import kernels
 from trotterbench.kernels import z_signs
-from trotterbench.circuit import Circuit
+from trotterbench.circuit import Circuit, encode
 from trotterbench.exact import build_hamiltonian, spectrum
 from trotterbench.statevector import z_expectations
 
@@ -125,6 +127,21 @@ class TestApplyGate:
         np.testing.assert_allclose(z_expectations(block),
                                    [z_expectations(c) for c in columns], atol=1e-14)
 
+    @pytest.mark.parametrize("per_pass", [1, 16, 40])
+    def test_rx_passes_do_not_change_a_bit(self, per_pass, monkeypatch):
+        # a block larger than one RX pass runs in slices of its pair view,
+        # with the arithmetic of one pass per amplitude
+        n, columns = 5, 3
+        rng = np.random.default_rng(8)
+        block = rng.standard_normal((2**n, columns)) + 1j * rng.standard_normal((2**n, columns))
+        kinds, qa, qb, _, _ = encode(Circuit(n).rx(0, 0).rx(2, 0).rx(4, 0))
+        theta = rng.uniform(-3.0, 3.0, (3, columns))  # one angle per column
+        expected = block.copy()
+        kernels.run_gates(expected, n, kinds, qa, qb, theta)
+        monkeypatch.setattr(kernels, "_RX_AMPLITUDES", per_pass)
+        kernels.run_gates(block, n, kinds, qa, qb, theta)
+        assert block.tobytes() == expected.tobytes()
+
     def test_out_of_range_qubit(self):
         state = init_basis_state(2, [0, 0])
         with pytest.raises(ValueError):
@@ -194,16 +211,29 @@ class TestExpectationZ:
                    for j in range(5)]
         np.testing.assert_allclose(via_all, via_one, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [4, 9])
-    def test_batch_readout_rounds_as_one_row_per_state(self, n):
-        # a (2^n, B) batch must read <Z> as the product of the row-major
-        # (B, 2^n) probabilities, bit for bit; OpenBLAS rounds the product
-        # of a transposed operand differently at these sizes
-        rng = np.random.default_rng(n)
-        amps = rng.standard_normal((2**n, 8)) + 1j * rng.standard_normal((2**n, 8))
-        rows = np.ascontiguousarray(amps.T)
-        expected = (rows.real * rows.real + rows.imag * rows.imag) @ z_signs(n)
-        np.testing.assert_array_equal(kernels.z_expectations(amps, n), expected)
+    def test_readout_is_exact_on_dyadic_amplitudes(self):
+        # amplitudes k / 32 give probabilities m / 1024 and exact partial
+        # sums, so each <Z_j> is the signed sum in whatever order it is added
+        rng = np.random.default_rng(2)
+        amps = (rng.integers(-3, 4, size=(2**6, 3)) + 1j * rng.integers(-3, 4, size=(2**6, 3))) / 32
+        expected = (amps.real**2 + amps.imag**2).T @ z_signs(6)
+        assert kernels.z_expectations(amps, 6).tobytes() == expected.tobytes()
+
+    def test_readout_refuses_another_width(self):
+        with pytest.raises(ValueError, match="not of 3 qubits"):
+            kernels.z_expectations(all_down_state(4), 3)
+
+    def test_kernels_hold_no_matrix_product(self):
+        """<Z> is read by elementwise pair sums: a BLAS product would round
+        each column by the size of its block."""
+        names = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot"}
+        tree = ast.parse(Path(kernels.__file__).read_text())
+        products = [ast.dump(node) for node in ast.walk(tree)
+                    if isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.MatMult)
+                    or isinstance(node, ast.Attribute) and node.attr in names
+                    or isinstance(node, ast.Call) and getattr(node.func, "id", None) in names]
+        assert products == []
 
 
 def bit_tally(counts, n):
@@ -289,6 +319,20 @@ class TestSampling:
     def test_counts_invalid_input(self):
         with pytest.raises(ValueError):
             sample_bitstrings(np.array([1.0, 1.0], dtype=np.complex128), 8, 1)
+
+    @pytest.mark.parametrize("amps, message", [
+        (np.array([1.0, 0.0]), "^amplitudes must be a complex128 array, got float64$"),
+        (np.array([1, 0, 0], dtype=np.complex128),
+         r"^amplitudes must have shape \(2\^n,\) or \(2\^n, B\) with n >= 1, got \(3,\)$"),
+        (np.full((2, 2, 2), 0.5, dtype=np.complex128),
+         r"^amplitudes must have shape .* got \(2, 2, 2\)$"),
+        (np.array([np.nan, 0], dtype=np.complex128), "^state is not normalized: .* sums to nan$"),
+        (np.array([[1, 1], [np.inf, 0]], dtype=np.complex128), " sums to inf$"),
+        (np.array([[1, np.nan], [0, 1]], dtype=np.complex128), " sums to nan$"),
+    ], ids=["float64", "length-3", "3-d", "nan", "inf-column", "nan-column"])
+    def test_what_cannot_be_sampled_is_refused_by_name(self, amps, message):
+        with pytest.raises(ValueError, match=message):
+            sample_bitstrings(amps, 8, 1)
 
 
 class TestFidelity:
