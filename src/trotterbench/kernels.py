@@ -236,10 +236,10 @@ def _z(batch):
     return sums[:0:-1, 0].T
 
 
-def _run(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out, tables=None):
+def _run(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out, tables):
     """Apply every gate (and its faults) to all columns; after the gates up
     to each step mark, write per-column <sigma_z> into out[..., mark index, :].
-    `tables` is a cached `_pauli_table`, by default one for this call."""
+    `tables` is a cached `_pauli_table`, read only when `faults` is given."""
     batch = _batch(amps)
     kinds, qa, qb = kinds.tolist(), qa.tolist(), qb.tolist()
     theta = _angles(kinds, np.asarray(theta, dtype=np.float64), batch.shape[1])
@@ -249,11 +249,6 @@ def _run(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out, tables=None):
         gate, col = np.nonzero(faults)
         codes, col = faults[gate, col].tolist(), col.tolist()
         first = np.searchsorted(gate, np.arange(len(kinds) + 1)).tolist()
-
-    # each table is built once, on its first fault: 384 bytes per basis
-    # state, 4N tables on a periodic chain of N spins (75 MB at N = 12)
-    if tables is None:
-        tables = functools.cache(_pauli_table)
 
     def apply_faults(i, conj=None):
         if first[i] == first[i + 1]:
@@ -286,21 +281,21 @@ def _run(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out, tables=None):
 def run_gates(amps, n_qubits, kinds, qa, qb, theta):
     """All gates in order. `theta` is (n_gates,), or (n_gates, B) for a
     (2^n, B) block of independent runs whose RX angles differ."""
-    _run(amps, n_qubits, kinds, qa, qb, theta, [], None, None)
+    _run(amps, n_qubits, kinds, qa, qb, theta, [], None, None, None)
 
 
 def run_gates_record(amps, n_qubits, kinds, qa, qb, theta, marks, out):
     """As `run_gates`, recording <sigma_z> of each column at the step
     marks: `out` is (n_marks, n) for one state, (B, n_marks, n) for a
     (2^n, B) block."""
-    _run(amps, n_qubits, kinds, qa, qb, theta, marks, None, out)
+    _run(amps, n_qubits, kinds, qa, qb, theta, marks, None, out, None)
 
 
-def run_gates_noisy(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out,
-                    tables=None):
+def run_gates_noisy(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out, tables):
     """As `run_gates_record` on a (2^n, B) block of trajectories, with the
     Pauli faults given by the int8 codes `faults` of shape (n_gates, B).
-    `theta` is (n_gates,). Calls that pass one `tables` share its tables."""
+    `theta` is (n_gates,). `tables` is a `functools.cache` of
+    `_pauli_table`; calls that pass the same one share its tables."""
     _run(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out, tables)
 
 

@@ -90,9 +90,9 @@ def noisy_execute(
     `circuits` may also be a sequence of G circuits with one gate list that
     differ only in their angles, such as the g values of a sweep; the
     result then has shape (G, n_steps, n_qubits). Every circuit meets the
-    same faults, so each block's codes are drawn and its Pauli tables built
-    once for all of them, and each circuit's values are those of its own
-    call.
+    same faults, so each block's codes are drawn once for all of them, each
+    Pauli table is built once in the call, and each circuit's values are
+    those of its own call.
     """
     single = isinstance(circuits, Circuit)
     circuits = [circuits] if single else list(circuits)
@@ -117,10 +117,12 @@ def noisy_execute(
         for out, (*_, theta, _) in zip(acc, encoded):
             kernels.run_gates_record(initial.copy(), n, kinds, qa, qb, theta, marks, out)
         return acc[0] if single else acc
+    # each table is built once, on its first fault: 384 bytes per basis
+    # state, 4N tables on a periodic chain of N spins (75 MB at N = 12)
+    tables = functools.cache(kernels._pauli_table)
     for first in range(0, trajectories, TRAJECTORY_BLOCK):
         block = range(first, min(first + TRAJECTORY_BLOCK, trajectories))
         faults = _fault_codes(kinds, noise, rng_seed, block)
-        tables = functools.cache(kernels._pauli_table)
         out = np.empty((len(block), len(marks), n), dtype=np.float64)
         for total, (*_, theta, _) in zip(acc, encoded):
             amps = np.repeat(initial[:, None], len(block), axis=1)

@@ -18,10 +18,9 @@ from . import kernels
 from .circuit import Circuit, check_integer, encode
 
 
-def check_state(amps: np.ndarray, n_qubits: int | None = None, block: bool = True) -> int:
+def check_state(amps: np.ndarray, n_qubits: int | None = None, block: bool = True) -> None:
     """Refuse `amps` unless it is a complex128 state of `n_qubits` qubits
-    (of any n >= 1 when None), or a (2^n, B) block of them when `block`;
-    returns n."""
+    (of any n >= 1 when None), or a (2^n, B) block of them when `block`."""
     if getattr(amps, "dtype", None) != np.complex128:
         raise ValueError("amplitudes must be a complex128 array, got "
                          f"{getattr(amps, 'dtype', type(amps).__name__)}")
@@ -29,7 +28,6 @@ def check_state(amps: np.ndarray, n_qubits: int | None = None, block: bool = Tru
     if n_qubits is not None and n != n_qubits:
         raise ValueError(f"circuit and state widths differ: {n_qubits} qubits, "
                          f"amplitudes of shape {amps.shape}")
-    return n
 
 
 def init_basis_state(n_qubits: int, bits: Sequence[int]) -> np.ndarray:

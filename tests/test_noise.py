@@ -1,5 +1,7 @@
 """Stochastic Pauli fault channel and classical readout errors."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -173,7 +175,8 @@ class TestNoisyExecute:
         psi0 /= np.linalg.norm(psi0)
         amps = np.repeat(psi0[:, None], len(columns), axis=1)
         out = np.empty((len(columns), 1, n))
-        run_gates_noisy(amps, n, kinds, qa, qb, theta, marks, faults, out)
+        run_gates_noisy(amps, n, kinds, qa, qb, theta, marks, faults, out,
+                        functools.cache(kernels._pauli_table))
         for col, codes in enumerate(columns):
             psi = psi0
             for (kind, a, b, t), code in zip(gate_rows(circ), codes):
@@ -285,8 +288,14 @@ class TestNoisyExecute:
                      "--out", str(tmp_path)]) == 0
         assert calls == [range(0, 256), range(256, 300)] * 2
 
-    def test_noisy_sweep_builds_each_fault_table_once_for_every_g(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("args, tables", [
         # one block at N = 10 reads 36 distinct tables, which its 3 g share
+        (["sweep", "--g-list", "1,2,3", "--traj", "256"], 36),
+        # 4 blocks of one g share 37 tables
+        (["run", "--g", "2", "--traj", "1024", "--seed", "3"], 37),
+    ], ids=["g-block", "4-blocks"])
+    def test_noisy_command_builds_each_fault_table_once(self, args, tables, tmp_path,
+                                                        monkeypatch):
         calls = []
 
         def counted(*key):
@@ -295,9 +304,9 @@ class TestNoisyExecute:
 
         table = kernels._pauli_table
         monkeypatch.setattr(kernels, "_pauli_table", counted)
-        assert main(["sweep", "--n", "10", "--g-list", "1,2,3", "--mode", "noisy",
-                     "--traj", "256", "--steps", "5", "--out", str(tmp_path)]) == 0
-        assert len(calls) == len(set(calls)) == 36
+        assert main([*args, "--n", "10", "--mode", "noisy", "--steps", "5",
+                     "--out", str(tmp_path)]) == 0
+        assert len(calls) == len(set(calls)) == tables
 
     def test_values_do_not_depend_on_the_trajectory_block(self, monkeypatch):
         # every kernel, the <Z> readout too, treats each column alone
