@@ -24,7 +24,9 @@ codes: 0=I, 1=X, 2=Y, 3=Z. A fault code (one int8 per gate and trajectory) holds
 applied to `qa` after the gate in bits 2-3 and the Pauli applied to `qb` in
 bits 0-1. Faults are sparse events: each one permutes the amplitudes of its
 own trajectory and multiplies them by a unit phase (+-1, +-i), both read by
-fault code from one table per qubit pair (`_pauli_table`). Inside a fused
+fault code from one table per qubit pair (`_pauli_table`). A table holds
+references to a source row and a phase row per code, which all tables share
+by value, so the tables of a chain take a few MB at n = 12. Inside a fused
 bond, a fault after the first CNOT or after the RZ is conjugated by the CNOT
 and applied before or after the phase respectively, so every amplitude meets
 its unit phases and its RZ factor in the order of the gate list; a fault
@@ -176,30 +178,57 @@ def _zz_phase(n_qubits, a, b, theta):
 
 
 def _pauli_table(n_qubits, a, b, conj):
-    """(src, phase), each (16, 2^n): row `code` is the fault
+    """16 (src, phase) pairs of (2^n,) rows: pair `code` is the fault
     `code` on qubits (a, b), conjugated by CNOT(*conj) when `conj` is
-    given. The faulted state is phase[code] * state[src[code]], with every
-    phase one of +-1, +-i. For a rotation b is -1 and only the rows of
-    codes with bits 0-1 clear are meaningful."""
+    given, and the faulted state is phase * state[src], with every phase
+    one of +-1, +-i. For a rotation b is -1 and only the pairs of codes
+    with bits 0-1 clear are meaningful.
+
+    X and Y flip their bit; Y|0> = i|1>, Y|1> = -i|0> and Z|1> = -|1>. So
+    the faulted state at index j is state[j ^ mask] times
+    (-i)^(Y count) (-1)^popcount(j & z), with the X and Y qubits in mask
+    and the Y and Z qubits in z; a CNOT, linear in the bits, acts on mask
+    and, transposed, on z. The rows depend on mask and on (z, Y count)
+    alone, so all tables share them (`_source_row`, `_phase_row`)."""
+    table = []
+    for code in range(16):
+        mask = z = ys = 0
+        for q, pauli in ((a, code >> 2), (b, code & 3)):
+            if q >= 0:
+                mask |= (pauli in (1, 2)) << q
+                z |= (pauli in (2, 3)) << q
+                ys += pauli == 2
+        if conj is not None:  # the CNOT on the flips, its transpose on z
+            c, t = conj
+            mask ^= (mask >> c & 1) << t
+            z ^= (z >> t & 1) << c
+        table.append((_source_row(n_qubits, mask), _phase_row(n_qubits, z, ys)))
+    return table
+
+
+# A source row takes 8 bytes per basis state and a phase row 16. The tables
+# of a periodic chain of N spins share 2N + 1 and 6N + 1 of them, 5.6 MB at
+# N = 12, where a table of its own rows would take 384 bytes per basis state.
+@functools.lru_cache(maxsize=128)
+def _source_row(n_qubits, mask):
+    """(2^n,) read-only basis indices j ^ mask."""
+    row = np.arange(1 << n_qubits) ^ mask
+    row.flags.writeable = False
+    return row
+
+
+@functools.lru_cache(maxsize=128)
+def _phase_row(n_qubits, z, ys):
+    """(2^n,) read-only phases (-i)^ys (-1)^popcount(j & z) at basis index j."""
     k = np.arange(1 << n_qubits)
-    code = np.arange(16)[:, None]
-    paulis = [(q, pauli) for q, pauli in ((a, code >> 2), (b, code & 3)) if q >= 0]
-
-    def cnot(x):
-        return x if conj is None else x ^ (((x >> conj[0]) & 1) << conj[1])
-
-    flip = sum(((pauli == 1) | (pauli == 2)) << q for q, pauli in paulis)  # X or Y
-    # A CNOT is linear in the bits of the basis index, so the fault takes
-    # |k> to |k ^ cnot(flip)>, with the factor its Paulis give the bits
-    # cnot(k); for the gather, those are the bits cnot(j) ^ flip of j's source.
-    bits = cnot(k) ^ flip
-    phase = np.ones((16, 1 << n_qubits), dtype=np.complex128)
-    for q, pauli in paulis:
-        one = ((bits >> q) & 1) == 1
-        # Y|0> = i|1>, Y|1> = -i|0>; Z|1> = -|1>; I and X multiply by 1
-        phase *= np.where(pauli == 2, np.where(one, -1j, 1j),
-                          np.where((pauli == 3) & one, -1.0, 1.0))
-    return k ^ cnot(flip), phase
+    odd = np.zeros_like(k)
+    for q in range(n_qubits):
+        if z >> q & 1:
+            odd ^= (k >> q) & 1
+    unit = (1, -1j, -1)[ys]
+    row = np.where(odd == 1, -unit, unit).astype(np.complex128)
+    row.flags.writeable = False
+    return row
 
 
 def _is_zz(kinds, qa, qb, i, stop):
@@ -253,10 +282,11 @@ def _run(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out, tables):
     def apply_faults(i, conj=None):
         if first[i] == first[i + 1]:
             return
-        src, phase = tables(n_qubits, qa[i], qb[i], conj)
+        table = tables(n_qubits, qa[i], qb[i], conj)
         for e in range(first[i], first[i + 1]):
             column = batch[:, col[e]]
-            np.multiply(phase[codes[e]], column[src[codes[e]]], out=column)
+            src, phase = table[codes[e]]
+            np.multiply(phase, column[src], out=column)
 
     start = 0
     for k, stop in enumerate([*marks, len(kinds)]):

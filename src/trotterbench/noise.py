@@ -11,9 +11,11 @@ SeedSequence((seed, t)), the stream of `np.random.default_rng((seed, t))`,
 bit for bit, computed here with uint64 array arithmetic so that noisy mode
 never imports numpy.random. The SeedSequence hash of a whole block of
 trajectories runs as one vectorized uint32 pass (`_seed_words`). PCG64 steps
-a 128-bit LCG, so k draws are one affine map of the state (`_jump`), and the
-states of all draws of a block fill an array by doubling: a few passes over
-whole arrays of 64-bit words, not one generator call per trajectory.
+a 128-bit LCG, so k draws are one affine map of the state (`_jump`). The
+draws of a block run in slices of gates: the states of the first slice fill
+an array by doubling, and each later slice is the one before it jumped
+ahead, a few passes over arrays of 64-bit words, not one generator call per
+trajectory.
 """
 
 from __future__ import annotations
@@ -65,9 +67,10 @@ TRAJECTORY_BLOCK = 256
 #: uint32 word of SeedSequence entropy, so t < 2^32.
 MAX_TRAJECTORIES = 1 << 32
 
-#: PCG64 states held at once while a block's fault codes are computed, in
-#: chunks of trajectories: 29 bytes of buffers per state, at most 1.9 MB.
-_DRAW_STATES = 1 << 16
+#: Draws of each stream held at once while a block's fault codes are drawn:
+#: the gates run in slices of this many, with 37 bytes of buffers per gate
+#: and trajectory, 0.61 MB for a block of 256 trajectories.
+_DRAW_GATES = 64
 
 
 def noisy_execute(
@@ -117,8 +120,8 @@ def noisy_execute(
         for out, (*_, theta, _) in zip(acc, encoded):
             kernels.run_gates_record(initial.copy(), n, kinds, qa, qb, theta, marks, out)
         return acc[0] if single else acc
-    # each table is built once, on its first fault: 384 bytes per basis
-    # state, 4N tables on a periodic chain of N spins (75 MB at N = 12)
+    # each table is built once, on its first fault; the 4N tables of a
+    # periodic chain of N spins share their rows (5.6 MB at N = 12)
     tables = functools.cache(kernels._pauli_table)
     for first in range(0, trajectories, TRAJECTORY_BLOCK):
         block = range(first, min(first + TRAJECTORY_BLOCK, trajectories))
@@ -157,29 +160,43 @@ def _fault_codes(kinds, noise: NoiseParams, rng_seed: int, block: range) -> np.n
     n_paulis = np.where(cnot, 15.0, 3.0)
     shift = np.where(cnot, 0, 2)
     start, inc = _pcg_seed(_seed_words(rng_seed, block))
-    chunks = -(-len(block) * n // _DRAW_STATES)
-    width = -(-len(block) // chunks)  # even chunks of about _DRAW_STATES states
-    half = (n + 1) // 2
-    # flat, so that a short last chunk is contiguous too
-    states = np.empty(2 * n * width, dtype=np.uint64)
-    scratch = np.empty(3 * half * width, dtype=np.uint64)
-    faulted = np.empty(n * width, dtype=bool)
-    mult, plus = map(_words, _jump(n))  # a choice is n draws after its u
-    for first in range(0, len(block), width):
-        cols = slice(first, first + width)
-        b = len(block[cols])
-        chunk_inc = inc[:, cols]
-        tmp = scratch[:3 * half * b].reshape(3, half, b)
-        s = _draw_states(start[:, cols], chunk_inc, states[:2 * n * b].reshape(2, n, b), tmp)
-        mask = faulted[:n * b].reshape(n, b)
-        for part in (slice(0, half), slice(half, n)):
-            bits = _draw_bits(s[:, part], tmp[:, :part.stop - part.start])
-            np.less(bits, limit[part], out=mask[part])
-        gate, traj = np.nonzero(mask)
-        choice_state = _mul_add(s[:, gate, traj], mult, _mul_add(chunk_inc[:, traj], plus, (0, 0)))
-        choice = _draw_bits(choice_state) * 2.0**-53 * n_paulis[gate]  # Generator.random's double
-        codes[gate, first + traj] = (choice.astype(np.int8) + 1) << shift[gate]
+    gate, traj, s = _faulting_draws(start, inc, limit)
+    mult, plus = _jump(n)  # a choice is n draws after its u
+    choice_state = _mul_add(s, _words(mult), _mul_add(inc[:, traj], _words(plus), (0, 0)))
+    choice = _draw_bits(choice_state) * 2.0**-53 * n_paulis[gate]  # Generator.random's double
+    codes[gate, traj] = (choice.astype(np.int8) + 1) << shift[gate]
     return codes
+
+
+def _faulting_draws(start, inc, limit):
+    """(gate, trajectory, state) of each u draw whose 53 bits are below its
+    gate's `limit`, (n_gates, 1), from the streams `start`, `inc` of
+    `_pcg_seed`. The draws run in slices of _DRAW_GATES gates: draws
+    0..size-1 by doubling, then each slice is the one before it jumped size
+    draws ahead, one half of it at a time."""
+    n, b = len(limit), start.shape[1]
+    size = min(n, _DRAW_GATES)
+    half = (size + 1) // 2
+    tmp = np.empty((3, half, b), dtype=np.uint64)
+    states = _draw_states(start, inc, np.empty((2, size, b), dtype=np.uint64), tmp)
+    jumped = np.empty((2, half, b), dtype=np.uint64)
+    mult, plus = _jump(size)
+    mult, plus = _words(mult), _mul_add(inc, _words(plus), (0, 0))
+    faulted = np.empty((size, b), dtype=bool)
+    events = []
+    for first in range(0, n, size):
+        m = min(size, n - first)
+        for lo in range(0, m, half):
+            rows = slice(lo, min(lo + half, m))
+            h = rows.stop - lo
+            if first:  # these rows of the slice before, size draws ahead
+                _mul_add(states[:, rows], mult, plus, jumped[:, :h], tmp[:, :h])
+                states[:, rows] = jumped[:, :h]
+            bits = _draw_bits(states[:, rows], tmp[:, :h])
+            np.less(bits, limit[first + lo:first + rows.stop], out=faulted[rows])
+        gate, traj = np.nonzero(faulted[:m])
+        events.append((gate + first, traj, states[:, gate, traj]))
+    return tuple(np.concatenate(x, axis=-1) for x in zip(*events))
 
 
 def _draw_states(start, inc, out, tmp) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Stochastic Pauli fault channel and classical readout errors."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from trotterbench.noise import (
 
 from oracles import (
     PAULIS,
+    cnot_matrix,
     fault_codes_per_trajectory,
     gate_full_matrix,
     gate_rows,
@@ -235,9 +237,9 @@ class TestNoisyExecute:
             np.testing.assert_array_equal(initial, all_down_state(3))
 
     @pytest.mark.parametrize("periodic", [False, True])
-    def test_each_fault_table_is_built_once_per_block(self, periodic, monkeypatch):
-        # at N = 10 a block reads 4N - 3 (open) or 4N (periodic) tables,
-        # more than a process-wide cache of 32 would keep across one step
+    def test_each_fault_table_is_built_once_per_call(self, periodic, monkeypatch):
+        # at N = 10 a call reads 4N - 3 (open) or 4N (periodic) tables, each
+        # built on its first fault and kept for the rest of the call
         calls = []
 
         def counted(*key):
@@ -335,10 +337,16 @@ class TestFaultStreams:
 
     @pytest.mark.parametrize("noise", [NoiseParams(), DEVICE_LIKE, NoiseParams(p1=1.0, p2=1.0)],
                              ids=["zero", "device", "one"])
-    @pytest.mark.parametrize("n_gates", [1, 2, 3, 340, 513, 560])
-    def test_codes_equal_per_trajectory_streams(self, noise, n_gates):
+    @pytest.mark.parametrize("size", [1, 3, noise_module._DRAW_GATES])
+    @pytest.mark.parametrize("n_gates", [1, 2, 3, 340, 513, 560,
+                                         "size-1", "size", "size+1"])
+    def test_codes_equal_per_trajectory_streams(self, noise, size, n_gates, monkeypatch):
         # at p = 1 every gate draws a choice; 2, 3 and 513 = 2^9 + 1 states
-        # end in a truncated doubling round
+        # end in a truncated doubling round, and a gate count around the
+        # slice size ends in a short, full or one-gate last slice
+        monkeypatch.setattr(noise_module, "_DRAW_GATES", size)
+        if isinstance(n_gates, str):
+            n_gates = size + {"size-1": -1, "size": 0, "size+1": 1}[n_gates]
         if n_gates in (340, 560):
             order = "first" if n_gates == 340 else "sym2"
             circ = build_evolution_circuit(TfimParams(n_spins=5, field=2.0), 20, order)
@@ -351,6 +359,19 @@ class TestFaultStreams:
             expected = fault_codes_per_trajectory(kinds, noise.p1, noise.p2, seed, block)
             assert got.dtype == np.int8
             assert got.tobytes() == expected.tobytes()
+
+    def test_draw_buffers_of_a_paper_size_block_stay_under_1_mb(self):
+        # the sym2 block of noisy_n5, 560 gates and 256 trajectories: the
+        # buffers of a 64-gate slice take 0.61 MB beside the 0.14 MB of codes
+        kinds = encode(build_evolution_circuit(TfimParams(n_spins=5, field=2.0), 20, "sym2"))[0]
+        _fault_codes(kinds, DEVICE_LIKE, 3, range(256))  # the cached jumps
+        tracemalloc.start()
+        try:
+            _fault_codes(kinds, DEVICE_LIKE, 3, range(256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0e6
 
     def test_single_rotation_codes(self):
         kinds = np.array([0], dtype=np.int8)
@@ -378,6 +399,42 @@ class TestFaultStreams:
         circ.cnot(0, 1).mark_step()
         with pytest.raises(ValueError, match=r"2\*\*32"):
             noisy_execute(circ, all_down_state(2), DEVICE_LIKE, 2**32 + 1, 3)
+
+
+class TestPauliTables:
+    # every key the kernels request: a rotation, a CNOT, the CNOT and RZ
+    # slots of a fused bond, and the same for a wrap bond with a > b
+    KEYS = [(1, -1, None), (0, 1, None), (0, 1, (0, 1)), (1, -1, (0, 1)),
+            (2, 0, None), (2, 0, (2, 0)), (0, -1, (2, 0))]
+
+    @pytest.mark.parametrize("a, b, conj", KEYS)
+    def test_each_code_is_the_dense_pauli(self, a, b, conj):
+        # the table applied to every basis state at once: column j of
+        # phase * eye[src] is the faulted |j>; +0.0 folds -0.0 into 0.0
+        n = 3
+        eye = np.eye(2**n, dtype=complex)
+        table = kernels._pauli_table(n, a, b, conj)
+        for code in range(16) if b >= 0 else (0, 4, 8, 12):
+            src, phase = table[code]
+            pauli = (two_qubit_pauli(code >> 2, code & 3, a, b, n) if b >= 0
+                     else kron_at(PAULIS[code >> 2], a, n))
+            if conj is not None:
+                pauli = cnot_matrix(*conj, n) @ pauli @ cnot_matrix(*conj, n)
+            got = phase[:, None] * eye[src]
+            assert (got + 0.0).tobytes() == (pauli + 0.0).tobytes(), code
+
+    def test_a_table_at_the_dense_cap_is_compact(self):
+        # the arrays one table holds, each counted once: at most half the
+        # 384 bytes per basis state of 16 int64 sources and complex128 phases
+        n = 12
+        for key in self.KEYS:
+            rows = [row for pair in kernels._pauli_table(n, *key) for row in pair]
+            owners = {id(o): o.nbytes for o in (r if r.base is None else r.base for r in rows)}
+            assert sum(owners.values()) <= 192 * 2**n, key
+
+    def test_rows_are_read_only(self):
+        for row in kernels._pauli_table(4, 2, 3, (2, 3))[7]:
+            assert not row.flags.writeable
 
 
 class TestReadoutError:
