@@ -131,8 +131,11 @@ def noisy_execute(
             amps = np.repeat(initial[:, None], len(block), axis=1)
             kernels.run_gates_noisy(amps, n, kinds, qa, qb, theta, marks, faults, out,
                                     tables)
-            for row in out:  # one trajectory after another, as a running sum
-                total += row
+            # one trajectory after another, as a running sum: the total
+            # enters row 0 and the rows accumulate in place, in row order
+            out[0] += total
+            np.add.accumulate(out, axis=0, out=out)
+            total[...] = out[-1]
     acc /= trajectories
     return acc[0] if single else acc
 

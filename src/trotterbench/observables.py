@@ -52,9 +52,10 @@ class ErrorSummary:
 
 def local_magnetization_from_counts(counts: np.ndarray) -> np.ndarray:
     """Shot estimate M_j = (n[bit_j = 0] - n[bit_j = 1]) / shots from the
-    (2^n,) or (G, 2^n) counts per basis index of `sample_bitstrings`. Every
-    partial sum of `counts @ z_signs(n)` is an integer, so each M_j is the
-    exact count difference over shots, in a block bit for bit as alone."""
+    (2^n,) or (G, 2^n) counts per basis index of `sample_bitstrings`. With
+    at most MAX_SHOTS = 2^53 shots, every partial sum of `counts @
+    z_signs(n)` is an exact integer, so each M_j is the exact count
+    difference over shots, in a block bit for bit as alone."""
     counts = np.asarray(counts)
     n = (counts.shape[-1] if counts.ndim in (1, 2) else 0).bit_length() - 1
     if n < 1 or counts.shape[-1] != 1 << n:

@@ -30,7 +30,7 @@ from .observables import (
     local_magnetization_from_counts,
     scaling_fit,
 )
-from .statevector import all_down_state, sample_bitstrings, z_expectations
+from .statevector import MAX_SHOTS, all_down_state, sample_bitstrings, z_expectations
 from .trotter import LAYERS, TfimParams, build_evolution_circuit
 
 MODES = ("ideal", "shots", "noisy")
@@ -125,6 +125,8 @@ class RunConfig:
         check_mode_keys(self.changed_keys(), self.mode)
         if self.mode == "shots":
             check_integer("shots", self.shots, 1)
+            if self.shots > MAX_SHOTS:
+                raise ValueError(f"shots must be <= 2**53, got {self.shots}")
         if self.mode == "noisy" and not 1 <= self.traj <= MAX_TRAJECTORIES:
             raise ValueError(f"traj must be in [1, 2**32], got {self.traj}")
 
@@ -238,14 +240,19 @@ def _run_block(configs: list[RunConfig],
     """Runs of configs that differ only in g, simulated as one block against
     the exact reference; every result's wall_time and gate counts (one
     shared tally) are the block's. `exact` passes the series of these g
-    when the caller already has them."""
+    when the caller already has them.
+
+    The exact series is computed before the simulation, in every mode. It
+    does not depend on when it runs, but a shots run's first draw imports
+    numpy.random (about 6 MB of mapped pages), and the series' temporaries
+    taken after it would stack on top of them."""
     start = time.perf_counter()
     base = configs[0]
     times = base.dt * np.arange(base.steps + 1)
-    circuits = [build_evolution_circuit(c.tfim, c.steps, c.order) for c in configs]
-    local = _simulate_local(configs, circuits)
     if exact is None:
         exact = exact_series([c.tfim for c in configs], times)
+    circuits = [build_evolution_circuit(c.tfim, c.steps, c.order) for c in configs]
+    local = _simulate_local(configs, circuits)
     counts = gate_counts(circuits[0])  # every g runs one gate list
     results = []
     for config, run, reference in zip(configs, local, exact):

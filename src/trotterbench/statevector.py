@@ -17,6 +17,10 @@ import numpy as np
 from . import kernels
 from .circuit import Circuit, check_integer, encode
 
+#: Most shots of one sample: every partial sum of a count difference stays
+#: an integer a float64 holds exactly (`local_magnetization_from_counts`).
+MAX_SHOTS = 1 << 53
+
 
 def check_state(amps: np.ndarray, n_qubits: int | None = None, block: bool = True) -> None:
     """Refuse `amps` unless it is a complex128 state of `n_qubits` qubits
@@ -67,7 +71,8 @@ def z_expectations(amps: np.ndarray) -> np.ndarray:
 
 def sample_bitstrings(amps: np.ndarray, shots: int, rng_seed) -> np.ndarray:
     """Draw `shots` independent full-register measurements from |amp|^2 of
-    one state (2^n,) or of each column of a (2^n, B) block.
+    one state (2^n,) or of each column of a (2^n, B) block; `shots` is at
+    most MAX_SHOTS.
 
     Deterministic for a fixed `rng_seed`, an int >= 0 or a tuple or list of
     them (numpy SeedSequence entropy): every column draws from the same
@@ -77,6 +82,8 @@ def sample_bitstrings(amps: np.ndarray, shots: int, rng_seed) -> np.ndarray:
     """
     check_state(amps)
     shots = check_integer("shots", shots, 1)
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots must be <= 2**53, got {shots}")
     seed = rng_seed if isinstance(rng_seed, (tuple, list)) else [rng_seed]
     seed = [check_integer("rng_seed", v, 0) for v in seed]  # [s] seeds as s does
     # |amp|^2 of each column as one C-contiguous row, summed pairwise

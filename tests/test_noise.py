@@ -310,6 +310,31 @@ class TestNoisyExecute:
                      "--out", str(tmp_path)]) == 0
         assert len(calls) == len(set(calls)) == tables
 
+    @pytest.mark.parametrize("block", [1, 7, 256])
+    def test_blocks_add_to_the_total_as_a_row_loop(self, block, monkeypatch):
+        # 600 trajectories are 3 blocks of 256 or more of the smaller sizes;
+        # two circuits share each block's faults
+        circuits = [build_evolution_circuit(TfimParams(n_spins=4, field=g), 5, "sym2")
+                    for g in (0.5, 2.5)]
+        initial = all_down_state(4)
+        tables = functools.cache(kernels._pauli_table)
+        kinds, qa, qb, _, marks = encode(circuits[0])
+        expected = np.zeros((2, len(marks), 4))
+        for first in range(0, 600, block):
+            trajectories = range(first, min(first + block, 600))
+            faults = _fault_codes(kinds, DEVICE_LIKE, 4, trajectories)
+            for total, circ in zip(expected, circuits):
+                out = np.empty((len(trajectories), len(marks), 4))
+                amps = np.repeat(initial[:, None], len(trajectories), axis=1)
+                run_gates_noisy(amps, 4, kinds, qa, qb, encode(circ)[3], marks, faults, out,
+                                tables)
+                for row in out:
+                    total += row
+        expected /= 600
+        monkeypatch.setattr(noise_module, "TRAJECTORY_BLOCK", block)
+        got = noisy_execute(circuits, initial, DEVICE_LIKE, 600, 4)
+        assert got.tobytes() == expected.tobytes()
+
     def test_values_do_not_depend_on_the_trajectory_block(self, monkeypatch):
         # every kernel, the <Z> readout too, treats each column alone
         circ = build_evolution_circuit(TfimParams(n_spins=10, field=2.0), 3, "sym2")

@@ -398,6 +398,23 @@ class TestCli:
         assert "12" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--g-list", "1,2"]])
+    def test_too_many_shots_exit_2_before_any_work(self, command, tmp_path, monkeypatch,
+                                                   capsys):
+        # above 2^53 a count difference is no longer exact in float64; a
+        # value past 2^63 simulated first and then failed with exit 1
+        def simulate(*args):
+            raise AssertionError("simulated before validating shots")
+
+        monkeypatch.setattr(runner, "_simulate_local", simulate)
+        out = tmp_path / "out"
+        for shots in (2**53 + 1, 99999999999999999999):
+            code = main([*command, "--mode", "shots", "--shots", str(shots),
+                         "--out", str(out)])
+            assert code == 2
+            assert f"shots must be <= 2**53, got {shots}" in capsys.readouterr().err
+            assert not out.exists()
+
     @pytest.mark.parametrize("argv, file_values, key", [
         (["run", "--mode", "shots", "--p1", "0.5", "--read01", "0.3"], None, "p1"),
         (["run", "--mode", "ideal", "--shots", "64"], None, "shots"),
@@ -711,6 +728,33 @@ def test_only_shots_mode_imports_numpy_random(tmp_path, mode, imported):
         assert "numpy.random" in guarded
     else:
         assert guarded == []
+
+
+@pytest.mark.parametrize("command", [
+    ["run"], ["sweep", "--g-list", "1,2"], ["compare", "--g-list", "1,2"],
+])
+def test_exact_series_runs_before_numpy_random_is_imported(tmp_path, command):
+    # a shots block computes its exact series before its first draw, so the
+    # series' temporaries do not stack on numpy.random's mapped pages
+    src = Path(trotterbench.__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "import trotterbench.cli\n"
+            "from trotterbench import runner\n"
+            "seen = []\n"
+            "series = runner.exact_series\n"
+            "def spy(*args):\n"
+            "    seen.append('numpy.random' in sys.modules)\n"
+            "    return series(*args)\n"
+            "runner.exact_series = spy\n"
+            f"assert trotterbench.cli.main({command!r} + ['--n', '3', '--steps', '2',"
+            f" '--mode', 'shots', '--seed', '1', '--out', {str(tmp_path)!r}]) == 0\n"
+            "assert 'numpy.random' in sys.modules\n"
+            "print(seen)\n")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[False]"
 
 
 def test_all_lists_exactly_the_public_names_init_binds():

@@ -275,6 +275,17 @@ class TestSampling:
         with pytest.raises(ValueError, match=f"^shots must be an integer, got {shots!r}$"):
             sample_bitstrings(all_down_state(3), shots, 1)
 
+    def test_shots_are_bounded_by_exact_count_sums(self):
+        # every partial sum of a count difference must be an exact float64
+        state = normalized([1, 1])
+        with pytest.raises(ValueError, match=r"^shots must be <= 2\*\*53, got 9007199254740993$"):
+            sample_bitstrings(state, 2**53 + 1, 1)
+        with pytest.raises(ValueError, match="shots must be <= 2"):
+            sample_bitstrings(state, 2**63, 1)
+        counts = sample_bitstrings(state, 2**53, 1)
+        assert counts.sum() == 2**53 and counts.min() > 0
+        assert abs(local_magnetization_from_counts(counts)[0]) < 1e-6
+
     def test_marginals_converge_over_seeds(self):
         # empirical per-bit frequency within 5 binomial sigma for >= 99% of
         # (seed, bit) pairs at 1024 shots
