@@ -17,12 +17,13 @@ import numpy as np
 
 from . import fermion
 from .circuit import MAX_DENSE_SPINS
-from .kernels import z_signs
+from .kernels import z_of_weights
 from .observables import MagnetizationSeries
 from .trotter import TfimParams, chain_bonds
 
 
-@dataclass(frozen=True)
+# eq=False: compared and hashed by identity, as == over array fields raises
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigendecomposition of a real symmetric operator, eigenvalues ascending."""
 
@@ -58,12 +59,12 @@ def build_hamiltonian(params: TfimParams) -> np.ndarray:
     if n > MAX_DENSE_SPINS:
         raise ValueError(f"dense Hamiltonian limited to {MAX_DENSE_SPINS} spins")
     dim = 1 << n
-    z = z_signs(n)
+    idx = np.arange(dim)
     diag = np.zeros(dim, dtype=np.float64)
     for a, b in chain_bonds(n, params.periodic):
-        diag -= params.coupling * z[:, a] * z[:, b]
+        # Z_a Z_b = +1 where bits a and b agree, -1 where they differ
+        diag -= params.coupling * (1 - 2 * ((idx >> a ^ idx >> b) & 1))
     h = np.diag(diag)
-    idx = np.arange(dim)
     for j in range(n):
         flipped = idx ^ (1 << j)
         h[flipped, idx] -= params.field
@@ -211,6 +212,8 @@ def sector_series(params: TfimParams, times: np.ndarray) -> np.ndarray:
     odd = spec_odd.evolve(odd_0, times)
     # psi(r) = (even + odd)/sqrt(2) and psi(rbar) = (even - odd)/sqrt(2), and
     # Z_j flips sign between r and rbar, so
-    # <Z_j> = sum_r (p(r) - p(rbar)) s_j(r) with p(r) - p(rbar) = 2 Re(even odd*)
-    diff = 2.0 * (even.real * odd.real + even.imag * odd.imag)  # (2^(n-1), times)
-    return diff.T @ z_signs(params.n_spins)[:len(diff)]
+    # <Z_j> = sum_r (p(r) - p(rbar)) s_j(r) with p(r) - p(rbar) = 2 Re(even odd*):
+    # the pair sums of these weights on r, with zero weight on the rbar half
+    weights = np.zeros((2 * len(even), len(times)))
+    weights[:len(even)] = 2.0 * (even.real * odd.real + even.imag * odd.imag)
+    return z_of_weights(weights)

@@ -7,7 +7,9 @@ and shots mode (one column for a single run), each with its own RX angles.
 Trajectories: the B trajectories of noisy mode. The 2^n basis states of
 `circuit.circuit_unitary` are a block too. Every kernel and the <Z> readout
 (`_z`: pair sums, no BLAS product) are elementwise over the columns, so a
-column's bits do not depend on its block. A gate on qubit q acts on the
+column's bits do not depend on its block. The same pair sums
+(`z_of_weights`) read Z from shot counts and from the exact reference's
+sector weights, so no sign matrix is built. A gate on qubit q acts on the
 reshape view (2^n >> (q+1), 2, 2^q, B), whose axis 1 is bit q of the basis
 index, so every view has a contiguous inner run of at least B amplitudes
 and no rotation or CNOT builds index arrays. All kernels mutate the
@@ -239,30 +241,29 @@ def _is_zz(kinds, qa, qb, i, stop):
             and qa[i + 2] == qa[i] and qb[i + 2] == qb[i])
 
 
-@functools.lru_cache(maxsize=16)
-def z_signs(n_qubits):
-    """(2^n, n) read-only matrix of +1 where bit j of the basis index is 0,
-    else -1: the sigma_z eigenvalue of qubit j on each basis state."""
-    bits = (np.arange(1 << n_qubits)[:, None] >> np.arange(n_qubits)) & 1
-    signs = 1.0 - 2.0 * bits
-    signs.flags.writeable = False
-    return signs
-
-
-def _z(batch):
-    """(B, n) <sigma_z> of each column of a (2^n, B) block. For each bit from
-    the top down: the bit-0 half minus the bit-1 half of the probabilities,
-    summed by halving (d = d[:h] + d[h:]); the two halves are then added to
-    sum over that bit. Row 0 of `sums` holds the probabilities summed so
-    far, the rows below it the halvings in flight."""
-    sums = (batch.real * batch.real + batch.imag * batch.imag)[None]
-    for q in range(batch.shape[0].bit_length() - 1):
+def z_of_weights(weights):
+    """(B, n) sum_k w[k] s_j(k), with s_j(k) = +1 where bit j of k is 0 and
+    -1 where it is 1, for each column of real (2^n, B) `weights`. For each
+    bit from the top down: the bit-0 half minus the bit-1 half of the
+    weights, summed by halving (d = d[:h] + d[h:]); the two halves are then
+    added to sum over that bit. Row 0 of `sums` holds the weights summed so
+    far, the rows below it the halvings in flight. So each value is a tree
+    of pairwise sums whose order depends on n alone, and it is exact where
+    every partial sum is (integer weights, as shot counts, up to 2^53)."""
+    sums = weights[None]
+    for q in range(weights.shape[0].bit_length() - 1):
         h = sums.shape[1] // 2
-        halved = np.empty((q + 2, h, batch.shape[1]))
+        halved = np.empty((q + 2, h, weights.shape[1]))
         np.add(sums[:, :h], sums[:, h:], out=halved[:-1])
         np.subtract(sums[0, :h], sums[0, h:], out=halved[-1])
         sums = halved
     return sums[:0:-1, 0].T
+
+
+def _z(batch):
+    """(B, n) <sigma_z> of each column of a (2^n, B) block: `z_of_weights`
+    of its probabilities."""
+    return z_of_weights(batch.real * batch.real + batch.imag * batch.imag)
 
 
 def _run(amps, n_qubits, kinds, qa, qb, theta, marks, faults, out, tables):

@@ -6,10 +6,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import z_signs
+from .kernels import z_of_weights
 
 
-@dataclass
+# eq=False: compared and hashed by identity, as == over array fields raises
+@dataclass(eq=False)
 class MagnetizationSeries:
     """Per-time, per-site magnetization M_j plus the site-averaged total M.
 
@@ -41,7 +42,8 @@ class MagnetizationSeries:
         return MagnetizationSeries(self.times[skip:], self.local[skip:])
 
 
-@dataclass
+# eq=False: compared and hashed by identity, as == over array fields raises
+@dataclass(eq=False)
 class ErrorSummary:
     """Deviations from the exact series and their pooled RMSEs."""
 
@@ -52,10 +54,10 @@ class ErrorSummary:
 
 def local_magnetization_from_counts(counts: np.ndarray) -> np.ndarray:
     """Shot estimate M_j = (n[bit_j = 0] - n[bit_j = 1]) / shots from the
-    (2^n,) or (G, 2^n) counts per basis index of `sample_bitstrings`. With
-    at most MAX_SHOTS = 2^53 shots, every partial sum of `counts @
-    z_signs(n)` is an exact integer, so each M_j is the exact count
-    difference over shots, in a block bit for bit as alone."""
+    (2^n,) or (G, 2^n) counts per basis index of `sample_bitstrings`, read
+    by the pair sums of `kernels.z_of_weights`. With at most MAX_SHOTS =
+    2^53 shots, every partial sum is an exact integer, so each M_j is the
+    exact count difference over shots, in a block bit for bit as alone."""
     counts = np.asarray(counts)
     n = (counts.shape[-1] if counts.ndim in (1, 2) else 0).bit_length() - 1
     if n < 1 or counts.shape[-1] != 1 << n:
@@ -67,7 +69,8 @@ def local_magnetization_from_counts(counts: np.ndarray) -> np.ndarray:
     shots = counts.sum(axis=-1, keepdims=True)
     if (shots < 1).any():
         raise ValueError("counts must be nonempty")
-    return counts @ z_signs(n) / shots
+    z = z_of_weights(counts.reshape(-1, 1 << n).T.astype(np.float64))
+    return z.reshape(*counts.shape[:-1], n) / shots
 
 
 def error_series(sim: MagnetizationSeries, exact: MagnetizationSeries) -> ErrorSummary:

@@ -181,7 +181,8 @@ def _typed(f: dataclasses.Field, value):
     return value if f.default is None else f.type(value)
 
 
-@dataclass
+# eq=False: compared and hashed by identity, as == over array fields raises
+@dataclass(eq=False)
 class RunResult:
     """Everything one run produces; sim and exact share the time grid
     t_k = k dt for k = 0..steps, while the RMSE summary pools k = 1..steps."""

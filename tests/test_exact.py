@@ -1,7 +1,11 @@
 """Exact Hamiltonian, spectral propagator, and continuous-time series."""
 
 import gc
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +158,23 @@ class TestSectorSolveThreads:
             chain_spectrum(TfimParams(n_spins=6, field=1.1))
             assert seen == [1, 1]
             assert get() == before
+
+
+def test_periodic_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # with two OpenBLAS threads the sector solves round otherwise from
+    # N = 9 on; the one-thread pin keeps the outputs byte-identical
+    src = Path(exact.__file__).resolve().parents[1]
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "trotterbench", "run", "--n", "9", "--periodic",
+             "--steps", "8", "--g", "1.3", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / name).read_bytes() for name in ("series.csv", "totals.csv")])
+    assert outputs[0] == outputs[1]
 
 
 class TestSpinFlipParity:
@@ -328,6 +349,17 @@ class TestExactSeries:
                         series.local, expected, rtol=0, atol=1e-13,
                         err_msg=f"n={n} periodic={periodic} g={field}",
                     )
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_periodic_series_matches_independent_propagation_past_eight_spins(self, n):
+        times = 0.2 * np.arange(21)
+        psi0 = all_down_state(n)
+        for coupling in (1.0, -0.7):
+            params = TfimParams(n_spins=n, coupling=coupling, field=1.3, periodic=True)
+            h = naive_hamiltonian(n, coupling, 1.3, periodic=True)
+            expected = np.abs(evolve_hermitian(h, psi0, times)) ** 2 @ z_oracle(n)
+            np.testing.assert_allclose(exact_series([params], times)[0].local, expected,
+                                       rtol=0, atol=1e-13, err_msg=f"J={coupling}")
 
     def test_series_is_read_only(self):
         for periodic in (False, True):

@@ -770,3 +770,18 @@ def test_all_lists_exactly_the_public_names_init_binds():
     assert sorted(trotterbench.__all__) == sorted(public)
     for name in trotterbench.__all__:
         assert getattr(trotterbench, name) is not None, name
+
+
+def test_records_that_hold_arrays_compare_and_hash_by_identity():
+    # a generated == over array fields raises "truth value of an array is
+    # ambiguous", and a frozen record's generated hash raises on them
+    config = RunConfig(n=3, steps=2)
+    first, second = run_command(config), run_command(config)
+    spec = exact.spectrum(np.diag([1.0, 2.0]))
+    twin = exact.Spectrum(spec.eigenvalues.copy(), spec.eigenvectors.copy())
+    pairs = [(first, second), (first.sim, second.sim), (first.errors, second.errors),
+             (spec, twin)]
+    for record, copy in pairs:
+        assert record == record
+        assert not record == copy and record != copy
+    assert {spec, twin, spec} == {spec, twin}

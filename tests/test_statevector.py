@@ -18,7 +18,6 @@ from trotterbench import (
     sample_bitstrings,
 )
 from trotterbench import kernels
-from trotterbench.kernels import z_signs
 from trotterbench.circuit import Circuit, encode
 from trotterbench.exact import build_hamiltonian, spectrum
 from trotterbench.statevector import z_expectations
@@ -216,7 +215,8 @@ class TestExpectationZ:
         # sums, so each <Z_j> is the signed sum in whatever order it is added
         rng = np.random.default_rng(2)
         amps = (rng.integers(-3, 4, size=(2**6, 3)) + 1j * rng.integers(-3, 4, size=(2**6, 3))) / 32
-        expected = (amps.real**2 + amps.imag**2).T @ z_signs(6)
+        signs = 1.0 - 2.0 * ((np.arange(2**6)[:, None] >> np.arange(6)) & 1)
+        expected = (amps.real**2 + amps.imag**2).T @ signs
         assert kernels.z_expectations(amps, 6).tobytes() == expected.tobytes()
 
     def test_readout_refuses_another_width(self):
@@ -313,19 +313,38 @@ class TestSampling:
             assert abs(est[j] - z_expectations(state)[j]) <= 0.01
 
     def test_count_readout_is_the_exact_count_difference(self):
-        # every partial sum of counts @ z_signs is an integer, so the
-        # readout equals the Python-integer tally bit for bit
+        # every partial sum of the readout's pair sums is an integer, so it
+        # equals the Python-integer tally bit for bit, alone and in a block
         rng = np.random.default_rng(11)
-        for n in range(1, 11):
+        for n in range(1, 13):
             raw = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
             state = normalized(raw)
+            rows = []
             for seed in (0, 7, (3, 5), 2**40):
                 for shots in (1, 64, 1024):
                     counts = sample_bitstrings(state, shots, seed)
                     assert counts.dtype == np.int64 and counts.shape == (2**n,)
                     assert counts.sum() == shots
-                    assert np.array_equal(local_magnetization_from_counts(counts),
-                                          bit_tally(counts, n)), (n, seed, shots)
+                    rows.append((counts, bit_tally(counts, n)))
+                    assert (local_magnetization_from_counts(counts).tobytes()
+                            == rows[-1][1].tobytes()), (n, seed, shots)
+            block = local_magnetization_from_counts(np.stack([c for c, _ in rows]))
+            assert block.tobytes() == np.stack([t for _, t in rows]).tobytes(), n
+
+    def test_count_readout_is_exact_at_two_to_the_53_shots(self):
+        # MAX_SHOTS = 2^53 is the largest total whose partial sums are all
+        # exact doubles
+        rng = np.random.default_rng(4)
+        for n in (1, 4, 9):
+            cuts = np.sort(rng.integers(0, 2**53 + 1, size=2**n - 1))
+            counts = np.diff(cuts, prepend=0, append=2**53)
+            assert int(counts.sum()) == 2**53
+            small = sample_bitstrings(init_basis_state(n, [1] * n), 5, 0)
+            block = np.stack([counts, small])
+            expected = np.stack([bit_tally(counts, n), bit_tally(small, n)])
+            assert local_magnetization_from_counts(block).tobytes() == expected.tobytes()
+            assert (local_magnetization_from_counts(counts).tobytes()
+                    == expected[0].tobytes())
 
     def test_counts_invalid_input(self):
         with pytest.raises(ValueError):
